@@ -33,7 +33,6 @@ from .core import (
     enumerate_all,
     export,
     from_edge_list,
-    neighborhood,
     parse_text,
     random_strong_tournament,
     random_tournament,
@@ -79,7 +78,6 @@ __all__ = [
     "king_context",
     "kings",
     "loads_certificate",
-    "neighborhood",
     "parse_text",
     "path_ending_at",
     "random_stress",

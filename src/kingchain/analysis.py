@@ -2,14 +2,17 @@
 
 The condensation of a tournament is a transitive tournament, so its strongly
 connected components carry a unique total order in which every edge between
-two components points from the earlier one to the later one.
+two components points from the earlier one to the later one. That order is
+read off the score sequence (Landau 1953; Moon, *Topics on Tournaments*,
+1968): listed by score, descending, the first i vertices form a union of
+leading blocks exactly when their scores sum to C(i, 2) + i(m - i), since
+then they beat all m - i others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import Tournament, mask_to_vertices
 from .errors import (
@@ -34,31 +37,6 @@ class KingContext:
         return len(self.out_set)
 
 
-def _reach_mask(out_masks: tuple[int, ...], seed_mask: int, allowed_mask: int) -> int:
-    """Vertices reachable from seed_mask walking only inside allowed_mask."""
-    reached = seed_mask & allowed_mask
-    frontier = reached
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            grown |= out_masks[low.bit_length() - 1]
-        frontier = grown & allowed_mask & ~reached
-        reached |= frontier
-    return reached
-
-
-def _subset_mask(t: Tournament, subset: Iterable[int]) -> int:
-    mask = 0
-    for v in subset:
-        if not 0 <= v < t.n:
-            raise VertexOutOfRangeError(f"vertex {v} outside order {t.n}")
-        mask |= 1 << v
-    return mask
-
-
 def is_strong(t: Tournament) -> bool:
     """True iff every vertex reaches every other; a single vertex is strong."""
     return is_strong_subset(t, range(t.n))
@@ -66,15 +44,7 @@ def is_strong(t: Tournament) -> bool:
 
 def is_strong_subset(t: Tournament, subset: Iterable[int]) -> bool:
     """True iff the subtournament induced by `subset` is strongly connected."""
-    mask = _subset_mask(t, subset)
-    if mask == 0:
-        raise EmptySubsetError("strong connectivity of an empty subset is undefined")
-    seed = mask & -mask
-    if _reach_mask(t.out_masks, seed, mask) != mask:
-        return False
-    full = (1 << t.n) - 1
-    in_masks = tuple(full & ~t.out_masks[v] & ~(1 << v) for v in range(t.n))
-    return _reach_mask(in_masks, seed, mask) == mask
+    return len(condensation(t, subset)) == 1
 
 
 def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -83,60 +53,38 @@ def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...],
     Block i beats block j whenever i < j. Vertices inside each block are
     sorted ascending. No block of any tournament ever has exactly two
     vertices, since a 2-vertex tournament is a single arc.
+
+    Every vertex of an earlier block outscores every vertex of a later one
+    inside the subset, so a block is the set of vertices whose scores fall
+    between two consecutive cut points of the descending score sequence.
     """
     verts = sorted(set(subset))
     if not verts:
         raise EmptySubsetError("cannot condense an empty subset")
-    sub_mask = _subset_mask(t, verts)
+    if verts[0] < 0 or verts[-1] >= t.n:
+        raise VertexOutOfRangeError(f"subset not contained in [0, {t.n})")
+    sub_mask = 0
+    for v in verts:
+        sub_mask |= 1 << v
     out_masks = t.out_masks
-
-    # Iterative Tarjan; block order is then fixed by the domination comparator,
-    # which is total because the condensation is a transitive tournament.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    neighbors: dict[int, Iterator[int]] = {}
-    blocks: list[tuple[int, ...]] = []
-    counter = 0
-    for root in verts:
-        if root in index:
-            continue
-        dfs = [root]
-        while dfs:
-            v = dfs[-1]
-            if v not in index:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-                neighbors[v] = iter(mask_to_vertices(out_masks[v] & sub_mask))
-            advanced = False
-            for w in neighbors[v]:
-                if w not in index:
-                    dfs.append(w)
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            dfs.pop()
-            if dfs:
-                parent = dfs[-1]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                blocks.append(tuple(sorted(comp)))
-
-    blocks.sort(key=cmp_to_key(lambda a, b: -1 if t.beats(a[0], b[0]) else 1))
-    return tuple(blocks)
+    scores = [(out_masks[v] & sub_mask).bit_count() for v in verts]
+    m = len(verts)
+    block_of_score = {}
+    # shortfall: C(i, 2) + i(m - i), the most any i vertices can score, minus
+    # the top i scores; the bound grows by m - i per step, and the shortfall
+    # is zero exactly where a block ends.
+    count = shortfall = 0
+    for i, score in enumerate(sorted(scores, reverse=True), 1):
+        block_of_score[score] = count
+        shortfall += m - i - score
+        if not shortfall:
+            count += 1
+    if count == 1:
+        return (tuple(verts),)
+    blocks: list[list[int]] = [[] for _ in range(count)]
+    for v, score in zip(verts, scores):
+        blocks[block_of_score[score]].append(v)
+    return tuple(map(tuple, blocks))
 
 
 def is_king(t: Tournament, v: int) -> bool:

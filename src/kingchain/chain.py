@@ -8,7 +8,9 @@ subtournament induced by every cycle's vertex set. The steps:
   1. Split the vertices around k into its out-set and in-set and condense
      the out-set into domination-ordered strong blocks.
   2. Find an exit edge from the last block into the in-set by following a
-     shortest path from the last block back to k.
+     shortest path from the last block back to k; the path stays inside the
+     last block up to the exit edge, since that block beats no other
+     out-set vertex.
   3. Lay a spine: a Hamiltonian path through the whole out-set ending at the
      exit edge's tail.
   4. Build the ladder: cycle i+2 is k, the last i spine vertices, the exit
@@ -24,8 +26,8 @@ byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -80,36 +82,31 @@ class CycleChain:
 def find_exit_edge(
     t: Tournament, ctx: KingContext, blocks: tuple[tuple[int, ...], ...]
 ) -> ExitEdge:
-    """Locate the exit edge via a shortest path from the last block to the king.
+    """Locate the exit edge on a shortest path from the last block to the king.
 
-    Starting at the lowest vertex of the last block, breadth-first search
-    (neighbors in ascending order) reaches the king; the path's last two
-    interior vertices are the exit tail and head. Minimality keeps every
-    interior vertex before the head inside the last block, and the head must
-    be an in-neighbor of the king.
+    Breadth-first search from the lowest vertex of the last block, neighbors
+    in ascending order, stays inside that block: every edge leaving the last
+    block of the out-set enters the in-set, and every in-set vertex beats the
+    king. The first dequeued vertex with an in-set out-neighbor is the tail;
+    its lowest such out-neighbor is the head.
     """
-    start = blocks[-1][0]
-    goal = ctx.king
     out_masks = t.out_masks
-    parent = {start: -1}
-    queue = deque((start,))
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for w in mask_to_vertices(out_masks[v]):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    if goal not in parent:
-        raise InternalContradictionError("king unreachable; tournament not strong?")
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    # path = start .. tail, head, king; a length-2 path start -> king cannot
-    # occur because the king beats the whole out-set.
-    return ExitEdge(tail=path[-3], head=path[-2])
+    in_mask = ~(out_masks[ctx.king] | 1 << ctx.king)
+    block_mask = 0
+    for v in blocks[-1]:
+        block_mask |= 1 << v
+    # Dequeue in discovery order; scanning each level in ascending index
+    # instead would pick a different tail on some tournaments.
+    queue = [blocks[-1][0]]
+    seen = 1 << queue[0]
+    for v in queue:
+        hits = out_masks[v] & in_mask
+        if hits:
+            return ExitEdge(tail=v, head=(hits & -hits).bit_length() - 1)
+        fresh = out_masks[v] & block_mask & ~seen
+        seen |= fresh
+        queue.extend(mask_to_vertices(fresh))
+    raise InternalContradictionError("last block has no edge into the in-set; not strong?")
 
 
 def spine_path(
@@ -225,15 +222,24 @@ def certificate_json(t: Tournament, chain: CycleChain) -> dict[str, Any]:
 
 
 def certificate_from_json(obj: dict[str, Any]) -> tuple[Tournament, CycleChain]:
-    """Inverse of certificate_json; round-trips losslessly."""
+    """Inverse of certificate_json; round-trips losslessly.
+
+    The order, the king, every cycle vertex, every insertion field and every
+    tournament endpoint must be a JSON integer.
+    """
     try:
-        t = from_edge_list(obj["n"], [(u, v) for u, v in obj["tournament"]])
+        edges, cycles = obj["tournament"], obj["cycles"]
+        records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
+        # JSON booleans decode to bool, a subclass of int; neither they nor
+        # floats or strings may stand for an order or a vertex.
+        values = itertools.chain((obj["n"], obj["king"]), *edges, *cycles, *records)
+        if not set(map(type, values)) <= {int}:
+            raise MalformedCertificateError("certificate orders and vertices must be integers")
+        t = from_edge_list(obj["n"], [(u, v) for u, v in edges])
         chain = CycleChain(
             king=obj["king"],
-            cycles=tuple(tuple(c) for c in obj["cycles"]),
-            insertions=tuple(
-                Insertion(x=r["x"], y=r["y"], z=r["z"]) for r in obj["insertions"]
-            ),
+            cycles=tuple(tuple(c) for c in cycles),
+            insertions=tuple(Insertion(*r) for r in records),
             context=KingContext(
                 king=obj["king"],
                 out_set=tuple(obj["A"]),

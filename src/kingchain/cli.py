@@ -23,6 +23,16 @@ def _king_flag(value: str) -> int | None:
         raise argparse.ArgumentTypeError(f"--king takes an integer or 'auto', got {value!r}")
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _read_tournament(path: str) -> core.Tournament:
     if path == "-":
         return core.parse_text(sys.stdin.read())
@@ -56,11 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive", help="verify every king of every strong tournament of order n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
 
     p = sub.add_parser("stress", help="verify seeded random strong tournaments")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("kings", help="list all kings of a tournament")

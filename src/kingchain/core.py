@@ -125,15 +125,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
     return Tournament(n, bits)
 
 
-def neighborhood(t: Tournament, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(out-set, in-set) of v, each sorted ascending."""
-    if not 0 <= v < t.n:
-        raise VertexOutOfRangeError(f"vertex {v} outside order {t.n}")
-    out_mask = t.out_masks[v]
-    in_mask = ((1 << t.n) - 1) & ~out_mask & ~(1 << v)
-    return mask_to_vertices(out_mask), mask_to_vertices(in_mask)
-
-
 def random_tournament(n: int, seed: int) -> Tournament:
     """Orient every pair by an independent fair coin; deterministic per (n, seed)."""
     if n < 1:

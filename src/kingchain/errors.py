@@ -53,7 +53,7 @@ class NotStrongSubsetError(TournamentError):
     """The induced subtournament is not strongly connected."""
 
 
-class OrderTwoSubsetError(TournamentError):
+class OrderTwoSubsetError(NotStrongSubsetError):
     """A two-vertex subset can never induce a strong subtournament."""
 
 

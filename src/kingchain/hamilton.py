@@ -152,15 +152,13 @@ def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[i
     """Hamiltonian path of a strong subset whose final vertex is `target`.
 
     Obtained by cutting the Hamiltonian cycle right after `target` and
-    unrolling it.
+    unrolling it; `hamiltonian_cycle` rejects a subset that is not strong.
     """
     verts = _checked_vertices(t, subset)
     if target not in verts:
         raise TargetNotInSubsetError(f"target {target} not in subset")
     if len(verts) == 1:
         return (target,)
-    if not is_strong_subset(t, verts):
-        raise NotStrongSubsetError("subset does not induce a strong subtournament")
     cycle = hamiltonian_cycle(t, verts)
     i = cycle.index(target)
     return cycle[i + 1 :] + cycle[: i + 1]

@@ -1,4 +1,5 @@
-"""Tiny set-based reference implementations used as independent test oracles.
+"""Tiny set-based reference implementations used as independent test oracles,
+plus a generator of near-transitive inputs, which have many strong blocks.
 
 Everything here works off the exported edge list only, with plain dict/set
 graph traversal, so a bug in the package's bitmask machinery cannot hide
@@ -6,6 +7,8 @@ behind itself.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 
 def adjacency(t) -> dict[int, set[int]]:
@@ -66,3 +69,30 @@ def brute_components(t, subset) -> list[set[int]]:
         components.append(comp)
         leftover -= comp
     return components
+
+
+def brute_exit_edge(t, king: int, start: int) -> tuple[int, int]:
+    """Last two vertices before the king on the breadth-first shortest path
+    from `start`, neighbors visited in ascending order."""
+    adj = adjacency(t)
+    parent = {start: start}
+    queue = deque([start])
+    while king not in parent:
+        x = queue.popleft()
+        for y in sorted(adj[x]):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    head = parent[king]
+    return parent[head], head
+
+
+def near_transitive(n: int, p: float, rng) -> list[tuple[int, int]]:
+    """Edge list orienting each pair of a random vertex order forward with probability p."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return [
+        (u, v) if rng.random() < p else (v, u)
+        for i, u in enumerate(order)
+        for v in order[i + 1 :]
+    ]

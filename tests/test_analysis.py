@@ -24,7 +24,13 @@ from kingchain.errors import (
     VertexOutOfRangeError,
 )
 
-from brute import brute_components, brute_kings, brute_strong, brute_strong_subset
+from brute import (
+    brute_components,
+    brute_kings,
+    brute_strong,
+    brute_strong_subset,
+    near_transitive,
+)
 
 
 class TestIsStrong:
@@ -69,15 +75,22 @@ class TestCondensation:
             condensation(t4a, [])
 
     def test_blocks_match_brute_components(self):
+        # Near-transitive inputs have many blocks, so block order matters.
         rng = random.Random(4)
-        for _ in range(150):
+        for trial in range(600):
             n = rng.randint(1, 12)
-            t = random_tournament(n, rng.randint(0, 10**6))
+            if trial < 150:
+                t = random_tournament(n, rng.randint(0, 10**6))
+            else:
+                t = from_edge_list(n, near_transitive(n, (0.8, 0.9, 1.0)[trial % 3], rng))
             subset = [v for v in range(n) if rng.random() < 0.7] or [0]
             blocks = condensation(t, subset)
             assert sorted(map(set, blocks), key=min) == sorted(
                 brute_components(t, subset), key=min
             )
+            for i, earlier in enumerate(blocks):
+                for later in blocks[i + 1 :]:
+                    assert all(t.beats(u, v) for u in earlier for v in later)
 
     def test_cross_edges_point_forward(self):
         rng = random.Random(5)

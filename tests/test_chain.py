@@ -1,5 +1,6 @@
 """Tests for the cycle-chain construction and its certificate format."""
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from kingchain import (
     extend_cycle,
     find_exit_edge,
     from_edge_list,
+    is_strong,
     king_context,
     kings,
     loads_certificate,
@@ -28,6 +30,8 @@ from kingchain.errors import (
     NotStrongError,
     OrderTooSmallError,
 )
+
+from brute import brute_exit_edge, near_transitive
 
 CERTIFICATE_KEYS = {
     "n", "king", "A", "B", "reid_blocks", "a_star", "b_star",
@@ -50,10 +54,17 @@ class TestFindExitEdge:
         assert find_exit_edge(t4a, ctx, blocks) == ExitEdge(tail=3, head=0)
 
     def test_exit_edge_wellformed(self):
+        # Near-transitive inputs put the exit tail deeper inside the last
+        # block, where the search order decides which tail comes first.
         rng = random.Random(21)
-        for _ in range(80):
-            n = rng.randint(3, 25)
-            t = random_strong_tournament(n, rng.randint(0, 10**6))
+        for trial in range(240):
+            if trial < 80:
+                t = random_strong_tournament(rng.randint(3, 25), rng.randint(0, 10**6))
+            else:
+                n = rng.randint(3, 40)
+                t = from_edge_list(n, near_transitive(n, 0.9, rng))
+                if not is_strong(t):
+                    continue
             for k in kings(t):
                 ctx, blocks = context_and_blocks(t, k)
                 exit_edge = find_exit_edge(t, ctx, blocks)
@@ -66,6 +77,7 @@ class TestFindExitEdge:
                 start = blocks[-1][0]
                 if any(t.beats(start, b) for b in ctx.in_set):
                     assert exit_edge.tail == start
+                assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k, start)
 
 
 class TestSpinePath:
@@ -231,10 +243,25 @@ class TestCertificate:
             t_back, chain_back = loads_certificate(dumps_certificate(t, chain))
             assert (t_back, chain_back) == (t, chain)
 
-    def test_loads_rejects_garbage(self):
+    def test_loads_rejects_garbage(self, t4a):
         with pytest.raises(MalformedCertificateError):
             loads_certificate("not json")
         with pytest.raises(MalformedCertificateError):
             loads_certificate("[1, 2, 3]")
         with pytest.raises(MalformedCertificateError):
             loads_certificate('{"n": 3}')
+        good = certificate_json(t4a, build_chain(t4a, 1))
+        for edit in (
+            lambda c: c.update(n=True),
+            lambda c: c.update(n=4.0),
+            lambda c: c.update(king=1.0),
+            lambda c: c.update(king="1"),
+            lambda c: c["cycles"][0].__setitem__(1, "3"),
+            lambda c: c["cycles"][1].__setitem__(0, True),
+            lambda c: c["insertions"][0].update(z=2.0),
+            lambda c: c["tournament"][0].__setitem__(1, "1"),
+        ):
+            bad = json.loads(json.dumps(good))
+            edit(bad)
+            with pytest.raises(MalformedCertificateError):
+                loads_certificate(json.dumps(bad))

@@ -114,9 +114,23 @@ class TestVerify:
         assert "result=fail" in captured.out
         assert "first_failure=" in captured.err
 
-    def test_unreadable_certificate(self, capsys, tmp_path):
+    def test_unreadable_certificate(self, capsys, tmp_path, t4a_file):
         path = tmp_path / "junk.json"
         path.write_text("{")
+        assert main(["verify", "--certificate", str(path)]) == 1
+        assert "MalformedCertificate" in capsys.readouterr().err
+        cert = tmp_path / "cert.json"
+        main(["chain", "--input", t4a_file, "--king", "1", "--certificate", str(cert)])
+        capsys.readouterr()
+        for field, value in (("king", 1.0), ("n", True)):
+            obj = json.loads(cert.read_text())
+            obj[field] = value
+            path.write_text(json.dumps(obj))
+            assert main(["verify", "--certificate", str(path)]) == 1
+            assert "MalformedCertificate" in capsys.readouterr().err
+        obj = json.loads(cert.read_text())
+        obj["cycles"][0][1] = "3"
+        path.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(path)]) == 1
         assert "MalformedCertificate" in capsys.readouterr().err
 
@@ -133,6 +147,10 @@ class TestExhaustive:
     def test_jobs_flag(self, capsys):
         assert main(["exhaustive", "--n", "4", "--jobs", "2"]) == 0
         assert "failures=0" in capsys.readouterr().out
+        for jobs in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as err:
+                main(["exhaustive", "--n", "4", "--jobs", jobs])
+            assert err.value.code == 2
 
     def test_out_of_range(self, capsys):
         assert main(["exhaustive", "--n", "9"]) == 1
@@ -145,6 +163,10 @@ class TestStress:
         out = capsys.readouterr().out
         assert "failures=0" in out
         assert "trials=4" in out
+        for trials in ("0", "-3"):
+            with pytest.raises(SystemExit) as err:
+                main(["stress", "--n", "6", "--trials", trials, "--seed", "3"])
+            assert err.value.code == 2
 
 
 class TestKings:

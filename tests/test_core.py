@@ -11,7 +11,6 @@ from kingchain import (
     enumerate_all,
     export,
     from_edge_list,
-    neighborhood,
     parse_text,
     random_strong_tournament,
     random_tournament,
@@ -72,34 +71,6 @@ class TestFromEdgeList:
     def test_single_vertex(self):
         t = from_edge_list(1, [])
         assert t.n == 1 and t.bits == 0
-
-
-class TestNeighborhood:
-    def test_three_cycle(self, three_cycle):
-        assert neighborhood(three_cycle, 0) == ((1,), (2,))
-
-    def test_transitive_source(self, transitive_triangle):
-        assert neighborhood(transitive_triangle, 0) == ((1, 2), ())
-
-    def test_t4a(self, t4a):
-        assert neighborhood(t4a, 1) == ((2, 3), (0,))
-
-    def test_out_of_range(self, t4a):
-        with pytest.raises(VertexOutOfRangeError):
-            neighborhood(t4a, 4)
-
-    def test_degrees_partition(self):
-        for seed in range(30):
-            t = random_tournament(9, seed)
-            for v in range(t.n):
-                out, inn = neighborhood(t, v)
-                assert len(out) + len(inn) == t.n - 1
-                assert set(out) | set(inn) | {v} == set(range(t.n))
-                assert not set(out) & set(inn)
-
-    def test_out_degree_sum(self):
-        t = random_tournament(12, 5)
-        assert sum(t.out_degree(v) for v in range(t.n)) == pair_count(t.n)
 
 
 class TestRandomTournament:
@@ -216,3 +187,7 @@ class TestTournamentValue:
             Tournament(3, 8)
         with pytest.raises(ValueError):
             Tournament(0, 0)
+
+    def test_out_degree_sum(self):
+        t = random_tournament(12, 5)
+        assert sum(t.out_degree(v) for v in range(t.n)) == pair_count(t.n)
