@@ -10,7 +10,6 @@ from .analysis import (
     condensation,
     is_king,
     is_strong,
-    is_strong_subset,
     king_context,
     kings,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "hamiltonian_path",
     "is_king",
     "is_strong",
-    "is_strong_subset",
     "king_context",
     "kings",
     "loads_certificate",

@@ -1,4 +1,4 @@
-"""Structural queries: strong connectivity, condensation, kings.
+"""Structural queries: condensation, strong connectivity, kings.
 
 The condensation of a tournament is a transitive tournament, so its strongly
 connected components carry a unique total order in which every edge between
@@ -18,7 +18,6 @@ from .core import Tournament, mask_to_vertices
 from .errors import (
     EmptySubsetError,
     NotAKingError,
-    NotStrongError,
     OrderTooSmallError,
     VertexOutOfRangeError,
 )
@@ -39,12 +38,7 @@ class KingContext:
 
 def is_strong(t: Tournament) -> bool:
     """True iff every vertex reaches every other; a single vertex is strong."""
-    return is_strong_subset(t, range(t.n))
-
-
-def is_strong_subset(t: Tournament, subset: Iterable[int]) -> bool:
-    """True iff the subtournament induced by `subset` is strongly connected."""
-    return len(condensation(t, subset)) == 1
+    return len(condensation(t, range(t.n))) == 1
 
 
 def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -109,14 +103,13 @@ def kings(t: Tournament) -> tuple[int, ...]:
 def king_context(t: Tournament, k: int) -> KingContext:
     """Split the vertex set around king k into its out-set and in-set.
 
-    Requires a strong tournament of order >= 3, so both sets are nonempty.
+    Requires order >= 3. Strong connectivity is not checked here (the in-set
+    may then be empty); `chain.find_exit_edge` detects it.
     """
     if not 0 <= k < t.n:
         raise VertexOutOfRangeError(f"vertex {k} outside order {t.n}")
     if t.n < 3:
         raise OrderTooSmallError(f"king context needs order >= 3, got {t.n}")
-    if not is_strong(t):
-        raise NotStrongError("tournament is not strongly connected")
     if not is_king(t, k):
         raise NotAKingError(f"vertex {k} is not a king")
     out_mask = t.out_masks[k]

@@ -10,7 +10,8 @@ subtournament induced by every cycle's vertex set. The steps:
   2. Find an exit edge from the last block into the in-set by following a
      shortest path from the last block back to k; the path stays inside the
      last block up to the exit edge, since that block beats no other
-     out-set vertex.
+     out-set vertex. No such edge exists exactly when the tournament is
+     not strong, so this step is also the strong test.
   3. Lay a spine: a Hamiltonian path through the whole out-set ending at the
      exit edge's tail.
   4. Build the ladder: cycle i+2 is k, the last i spine vertices, the exit
@@ -20,8 +21,8 @@ subtournament induced by every cycle's vertex set. The steps:
      in the in-set, so it points back at k and some cycle vertex beats it,
      which guarantees a splice slot.
 
-Every choice is lowest-index-first, so certificates are reproducible
-byte for byte.
+No step re-checks strong connectivity up front. Every choice is
+lowest-index-first, so certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .analysis import KingContext, condensation, king_context
 from .core import Tournament, from_edge_list, mask_to_vertices
 from .errors import (
     CycleAlreadySpanningError,
-    InternalContradictionError,
     MalformedCertificateError,
+    NotStrongError,
     OrderTooSmallError,
 )
-from .hamilton import hamiltonian_path, path_ending_at
+from .hamilton import hamiltonian_path, path_ending_at, splice_slot
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,13 @@ def find_exit_edge(
     block of the out-set enters the in-set, and every in-set vertex beats the
     king. The first dequeued vertex with an in-set out-neighbor is the tail;
     its lowest such out-neighbor is the head.
+
+    The last block has no edge into the in-set exactly when the tournament
+    is not strong, and then `NotStrongError` is raised. That block beats no
+    other out-set vertex and loses to the king, so without such an edge it
+    beats nothing outside itself. Conversely, the last strong component of a
+    tournament that is not strong reaches nothing outside itself, so holds no
+    king; losing to every other vertex, it is the out-set's last block.
     """
     out_masks = t.out_masks
     in_mask = ~(out_masks[ctx.king] | 1 << ctx.king)
@@ -106,7 +114,7 @@ def find_exit_edge(
         fresh = out_masks[v] & block_mask & ~seen
         seen |= fresh
         queue.extend(mask_to_vertices(fresh))
-    raise InternalContradictionError("last block has no edge into the in-set; not strong?")
+    raise NotStrongError("tournament is not strongly connected")
 
 
 def spine_path(
@@ -165,14 +173,9 @@ def extend_cycle(
         present |= 1 << v
     missing = ((1 << n) - 1) & ~present
     z = (missing & -missing).bit_length() - 1
-    out_masks = t.out_masks
-    zm = out_masks[z]
-    size = len(cycle)
-    for i in range(size):
-        x, y = cycle[i], cycle[(i + 1) % size]
-        if out_masks[x] >> z & 1 and zm >> y & 1:
-            return cycle[: i + 1] + (z,) + cycle[i + 1 :], Insertion(x=x, y=y, z=z)
-    raise InternalContradictionError(f"no insertion slot for vertex {z}")
+    i = splice_slot(t, cycle, z)
+    y = cycle[(i + 1) % len(cycle)]
+    return cycle[: i + 1] + (z,) + cycle[i + 1 :], Insertion(x=cycle[i], y=y, z=z)
 
 
 def build_chain(t: Tournament, k: int) -> CycleChain:
@@ -262,7 +265,7 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate must be a JSON object")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -28,6 +29,9 @@ from .errors import (
 ENUMERATION_LIMIT = 8
 
 EXPORT_FORMATS = ("text", "dot", "json")
+
+# A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
+_FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
 
 
 def pair_count(n: int) -> int:
@@ -98,12 +102,15 @@ class Tournament:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
     """Build a tournament from oriented edges (u, v) meaning u -> v.
 
-    Every unordered pair must appear exactly once.
+    Every unordered pair must appear exactly once. Memory follows the input,
+    not n: a list too short to orient every pair records only the pairs it names.
     """
     if n < 1:
         raise ValueError(f"tournament order must be >= 1, got {n}")
-    seen = [False] * pair_count(n)
-    bits = 0
+    edges = list(edges)
+    total = pair_count(n)
+    # Per pair index: 0 unseen, 1 oriented from its higher vertex, 2 from its lower.
+    seen = bytearray(total) if len(edges) >= total else defaultdict(int)
     for u, v in edges:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
@@ -114,15 +121,14 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
             raise DuplicatePairError(
                 f"pair {{{min(u, v)}, {max(u, v)}}} oriented more than once"
             )
-        seen[p] = True
-        if u < v:
-            bits |= 1 << p
-    if not all(seen):
-        for u in range(n - 1):
-            for v in range(u + 1, n):
-                if not seen[pair_index(u, v, n)]:
-                    raise MissingPairError(f"pair {{{u}, {v}}} was never oriented")
-    return Tournament(n, bits)
+        seen[p] = 1 + (u < v)
+    if len(edges) < total:
+        # Pairs are indexed in lexicographic order: this stops within len(edges) + 1 steps.
+        pairs = ((u, v) for u in range(n - 1) for v in range(u + 1, n))
+        u, v = next(pair for p, pair in enumerate(pairs) if not seen[p])
+        raise MissingPairError(f"pair {{{u}, {v}}} was never oriented")
+    # Each pair is now named once; pair p's flag is bit p, so the digits run from the top.
+    return Tournament(n, int(b"0" + seen[::-1].translate(_FLAG_BITS), 2))
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

@@ -8,9 +8,8 @@ the output is a pure function of the input.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .analysis import is_strong_subset
 from .core import Tournament, mask_to_vertices
 from .errors import (
     EmptySubsetError,
@@ -56,30 +55,48 @@ def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _seed_triangle(t: Tournament, verts: list[int], sub_mask: int) -> list[int]:
-    """Deterministic directed 3-cycle inside a strong subset of size >= 3."""
+def splice_slot(t: Tournament, cycle: Sequence[int], z: int) -> int:
+    """First i with cycle[i] -> z -> cycle[i + 1], wrapping round at the end.
+
+    One exists whenever z beats some cycle vertex and loses to another.
+    """
     out_masks = t.out_masks
-    for v in verts:
-        out_here = out_masks[v] & sub_mask
-        in_here = sub_mask & ~out_masks[v] & ~(1 << v)
-        if not out_here or not in_here:
-            continue
-        u = (out_here & -out_here).bit_length() - 1
-        for w in verts:
-            if w != v and out_masks[u] >> w & 1 and out_masks[w] >> v & 1:
-                return [v, u, w]
-        break
-    # Fallback: scan ascending triples for either orientation of a 3-cycle.
-    for i, a in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            b = verts[j]
-            for k in range(j + 1, len(verts)):
-                c = verts[k]
-                if out_masks[a] >> b & 1 and out_masks[b] >> c & 1 and out_masks[c] >> a & 1:
-                    return [a, b, c]
-                if out_masks[a] >> c & 1 and out_masks[c] >> b & 1 and out_masks[b] >> a & 1:
-                    return [a, c, b]
-    raise InternalContradictionError("strong subset of size >= 3 has no 3-cycle")
+    zm = out_masks[z]
+    size = len(cycle)
+    for i in range(size):
+        if out_masks[cycle[i]] >> z & 1 and zm >> cycle[(i + 1) % size] & 1:
+            return i
+    raise InternalContradictionError(f"no insertion slot for vertex {z}")
+
+
+def _seed_triangle(t: Tournament, verts: list[int], sub_mask: int) -> list[int]:
+    """Directed 3-cycle through the lowest vertex v of the subset.
+
+    Every vertex of a strong tournament lies on a 3-cycle (Moon 1966), so
+    finding none proves the subset is not strong. First try v, its lowest
+    out-neighbor u and the lowest w with u -> w -> v; failing that, the
+    lexicographically first pair b < c closing v -> b -> c or v -> c -> b.
+    """
+    out_masks = t.out_masks
+    v = verts[0]
+    out_v = out_masks[v] & sub_mask
+    in_v = sub_mask & ~out_masks[v] & ~(1 << v)
+    if out_v:
+        u = (out_v & -out_v).bit_length() - 1
+        hits = out_masks[u] & in_v
+        if hits:
+            return [v, u, (hits & -hits).bit_length() - 1]
+    for b in verts[1:]:
+        above_b = sub_mask >> (b + 1) << (b + 1)
+        if out_v >> b & 1:
+            hits = out_masks[b] & in_v & above_b
+            if hits:
+                return [v, b, (hits & -hits).bit_length() - 1]
+        else:
+            hits = out_v & ~out_masks[b] & above_b
+            if hits:
+                return [v, (hits & -hits).bit_length() - 1, b]
+    raise NotStrongSubsetError("no 3-cycle through the lowest vertex of the subset")
 
 
 def hamiltonian_cycle(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
@@ -91,15 +108,15 @@ def hamiltonian_cycle(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     Starting from a 3-cycle, each round either splices in an outside vertex
     with both an in- and an out-neighbor on the cycle, or, when every outside
     vertex dominates or is dominated by the whole cycle, absorbs a dominated
-    vertex followed by a dominator, growing the cycle by two.
+    vertex followed by a dominator, growing the cycle by two. A subset is
+    strong iff it has a Hamiltonian cycle (Camion 1959), so growth gets stuck,
+    with `NotStrongSubsetError`, exactly when the subset is not strong.
     """
     verts = _checked_vertices(t, subset)
     if len(verts) == 1:
         return (verts[0],)
     if len(verts) == 2:
         raise OrderTwoSubsetError("no strong subtournament on exactly two vertices")
-    if not is_strong_subset(t, verts):
-        raise NotStrongSubsetError("subset does not induce a strong subtournament")
 
     out_masks = t.out_masks
     sub_mask = 0
@@ -109,42 +126,27 @@ def hamiltonian_cycle(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     cyc_mask = (1 << cycle[0]) | (1 << cycle[1]) | (1 << cycle[2])
 
     while cyc_mask != sub_mask:
-        outside = mask_to_vertices(sub_mask & ~cyc_mask)
-        for z in outside:
+        outside = sub_mask & ~cyc_mask
+        dominators = 0
+        for z in mask_to_vertices(outside):
             zm = out_masks[z]
-            if zm & cyc_mask and cyc_mask & ~zm & ~(1 << z):
-                size = len(cycle)
-                for i in range(size):
-                    x, y = cycle[i], cycle[(i + 1) % size]
-                    if out_masks[x] >> z & 1 and zm >> y & 1:
-                        cycle.insert(i + 1, z)
-                        cyc_mask |= 1 << z
-                        break
-                else:
-                    raise InternalContradictionError(
-                        "mixed outside vertex has no insertion slot"
-                    )
+            if not cyc_mask & ~zm:
+                dominators |= 1 << z
+            elif zm & cyc_mask:
+                cycle.insert(splice_slot(t, cycle, z) + 1, z)
+                cyc_mask |= 1 << z
                 break
         else:
             # Every outside vertex beats the whole cycle or loses to all of it.
-            dominator_mask = 0
-            dominated = []
-            for z in outside:
-                if out_masks[z] & cyc_mask == cyc_mask:
-                    dominator_mask |= 1 << z
-                else:
-                    dominated.append(z)
-            for low in dominated:
-                hits = out_masks[low] & dominator_mask
+            for low in mask_to_vertices(outside & ~dominators):
+                hits = out_masks[low] & dominators
                 if hits:
                     high = (hits & -hits).bit_length() - 1
                     cycle.extend((low, high))
                     cyc_mask |= (1 << low) | (1 << high)
                     break
             else:
-                raise InternalContradictionError(
-                    "no edge from a dominated outside vertex to a dominator"
-                )
+                raise NotStrongSubsetError("no edge from a dominated vertex to a dominator")
     return tuple(cycle)
 
 

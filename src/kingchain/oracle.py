@@ -40,23 +40,20 @@ EXHAUSTIVE_MIN_ORDER = 3
 EXHAUSTIVE_MAX_ORDER = 7
 
 
-def _two_step_covers(out_masks: tuple[int, ...], king: int, verts: Sequence[int]) -> bool:
-    # Literal definition by double loop: every vertex is a direct out-neighbor
-    # of the king or beaten by one of the king's out-neighbors in `verts`.
+def _two_step_misses(
+    out_masks: tuple[int, ...], king: int, verts: Sequence[int]
+) -> tuple[int, int]:
+    # Literal king definition: the vertex mask of `verts`, and the members
+    # that are neither the king, nor its out-neighbors, nor beaten by one of
+    # its out-neighbors in `verts`. The king rules `verts` iff none are missed.
     km = out_masks[king]
-    witnesses = [w for w in verts if km >> w & 1]
-    for v in verts:
-        if v == king:
-            continue
-        vbit = 1 << v
-        if km & vbit:
-            continue
-        for w in witnesses:
-            if out_masks[w] & vbit:
-                break
-        else:
-            return False
-    return True
+    reached = km | 1 << king
+    members = 0
+    for w in verts:
+        members |= 1 << w
+        if km >> w & 1:
+            reached |= out_masks[w]
+    return members, members & ~reached
 
 
 def brute_is_king_of_induced(t: Tournament, king: int, subset: Iterable[int]) -> bool:
@@ -64,7 +61,7 @@ def brute_is_king_of_induced(t: Tournament, king: int, subset: Iterable[int]) ->
     verts = sorted(set(subset))
     if king not in verts:
         raise KingNotInSubsetError(f"vertex {king} not in subset")
-    return _two_step_covers(t.out_masks, king, verts)
+    return not _two_step_misses(t.out_masks, king, verts)[1]
 
 
 def _is_directed_cycle(out_masks: tuple[int, ...], cyc: Sequence[int]) -> bool:
@@ -81,7 +78,7 @@ def _is_directed_cycle(out_masks: tuple[int, ...], cyc: Sequence[int]) -> bool:
 
 def _brute_kings(t: Tournament) -> list[int]:
     everyone = list(range(t.n))
-    return [v for v in everyone if _two_step_covers(t.out_masks, v, everyone)]
+    return [v for v in everyone if not _two_step_misses(t.out_masks, v, everyone)[1]]
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,16 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     out_masks = t.out_masks
     first_failure: str | None = None
     cycle_checks = []
+    vertex_masks = []
     for j, cyc in enumerate(cycles):
         want = j + 3
         size = len(cyc)
         is_cycle = _is_directed_cycle(out_masks, cyc)
         correct_length = size == want
         contains_king = k in cyc
-        king_of_induced = contains_king and _two_step_covers(out_masks, k, cyc)
+        members, missed = _two_step_misses(out_masks, k, cyc)
+        vertex_masks.append(members)
+        king_of_induced = contains_king and not missed
         check = CycleCheck(want, is_cycle, correct_length, contains_king, king_of_induced)
         cycle_checks.append(check)
         if first_failure is None and not check.passed:
@@ -172,18 +172,15 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
                 first_failure = f"C{want}: {k} is not a king of the induced subtournament"
 
     insertion_checks = []
-    prev_set = set(cycles[0])
     for j, rec in enumerate(records):
-        prev, nxt = cycles[j], cycles[j + 1]
+        prev = cycles[j]
         size = len(prev)
         consecutive = any(
             prev[i] == rec.x and prev[(i + 1) % size] == rec.y for i in range(size)
         )
         edges_exist = bool(out_masks[rec.x] >> rec.z & 1 and out_masks[rec.z] >> rec.y & 1)
-        fresh = rec.z not in prev_set
-        nxt_set = set(nxt)
-        linked = nxt_set == prev_set | {rec.z}
-        prev_set = nxt_set
+        fresh = not vertex_masks[j] >> rec.z & 1
+        linked = vertex_masks[j + 1] == vertex_masks[j] | 1 << rec.z
         ok = consecutive and edges_exist and fresh and linked
         insertion_checks.append(ok)
         if first_failure is None and not ok:

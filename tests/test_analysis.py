@@ -10,7 +10,6 @@ from kingchain import (
     from_edge_list,
     is_king,
     is_strong,
-    is_strong_subset,
     king_context,
     kings,
     random_strong_tournament,
@@ -19,7 +18,6 @@ from kingchain import (
 from kingchain.errors import (
     EmptySubsetError,
     NotAKingError,
-    NotStrongError,
     OrderTooSmallError,
     VertexOutOfRangeError,
 )
@@ -51,13 +49,6 @@ class TestIsStrong:
         for n in range(1, 6):
             for t in enumerate_all(n):
                 assert is_strong(t) == brute_strong(t)
-
-    def test_subset_variant(self, t4a):
-        assert is_strong_subset(t4a, [0, 1, 2])
-        assert not is_strong_subset(t4a, [0, 3])
-        assert is_strong_subset(t4a, [2])
-        with pytest.raises(EmptySubsetError):
-            is_strong_subset(t4a, [])
 
 
 class TestCondensation:
@@ -167,10 +158,6 @@ class TestKingContext:
     def test_not_a_king(self, t4a):
         with pytest.raises(NotAKingError):
             king_context(t4a, 3)
-
-    def test_not_strong(self, transitive_triangle):
-        with pytest.raises(NotStrongError):
-            king_context(transitive_triangle, 0)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):

@@ -13,6 +13,7 @@ from kingchain import (
     certificate_json,
     condensation,
     dumps_certificate,
+    enumerate_all,
     extend_cycle,
     find_exit_edge,
     from_edge_list,
@@ -31,7 +32,7 @@ from kingchain.errors import (
     OrderTooSmallError,
 )
 
-from brute import brute_exit_edge, near_transitive
+from brute import brute_exit_edge, brute_kings, brute_strong, near_transitive
 
 CERTIFICATE_KEYS = {
     "n", "king", "A", "B", "reid_blocks", "a_star", "b_star",
@@ -178,6 +179,18 @@ class TestBuildChain:
     def test_not_strong(self, transitive_triangle):
         with pytest.raises(NotStrongError):
             build_chain(transitive_triangle, 0)
+        # The exit-edge search is the only strong test on the way: every king
+        # of every tournament with n = 3..6 that is not strong must hit it.
+        pairs = 0
+        for n in range(3, 7):
+            for t in enumerate_all(n):
+                if brute_strong(t):
+                    continue
+                for k in brute_kings(t):
+                    pairs += 1
+                    with pytest.raises(NotStrongError):
+                        build_chain(t, k)
+        assert pairs == 21406
 
     def test_not_a_king(self, t4a):
         with pytest.raises(NotAKingError):
@@ -250,6 +263,11 @@ class TestCertificate:
             loads_certificate("[1, 2, 3]")
         with pytest.raises(MalformedCertificateError):
             loads_certificate('{"n": 3}')
+        # Nested too deeply for the decoder, and an integer past the digit limit.
+        with pytest.raises(MalformedCertificateError):
+            loads_certificate("[" * 100000)
+        with pytest.raises(MalformedCertificateError):
+            loads_certificate('{"n": ' + "9" * 5000 + "}")
         good = certificate_json(t4a, build_chain(t4a, 1))
         for edit in (
             lambda c: c.update(n=True),

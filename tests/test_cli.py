@@ -119,6 +119,10 @@ class TestVerify:
         path.write_text("{")
         assert main(["verify", "--certificate", str(path)]) == 1
         assert "MalformedCertificate" in capsys.readouterr().err
+        path.write_text("[" * 100000)
+        assert main(["verify", "--certificate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "MalformedCertificate" in err and "Traceback" not in err
         cert = tmp_path / "cert.json"
         main(["chain", "--input", t4a_file, "--king", "1", "--certificate", str(cert)])
         capsys.readouterr()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,18 @@ class TestFromEdgeList:
     def test_missing_pair(self):
         with pytest.raises(MissingPairError, match=r"\{0, 2\}"):
             from_edge_list(3, [(0, 1), (1, 2)])
+
+    def test_short_edge_list_allocates_by_its_length(self):
+        # A header of 3000 has C(3000, 2) ~ 4.5 million pairs; two edges must
+        # not cost memory in proportion to that.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingPairError, match=r"\{0, 2\}"):
+                parse_text("3000\n0 1\n1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_duplicate_pair(self):
         with pytest.raises(DuplicatePairError):

@@ -1,10 +1,12 @@
 """Tests for Hamiltonian path and cycle construction."""
 
+import itertools
 import random
 
 import pytest
 
 from kingchain import (
+    enumerate_all,
     from_edge_list,
     hamiltonian_cycle,
     hamiltonian_path,
@@ -81,6 +83,27 @@ class TestHamiltonianCycle:
     def test_not_strong(self, transitive_triangle):
         with pytest.raises(NotStrongSubsetError):
             hamiltonian_cycle(transitive_triangle, [0, 1, 2])
+        # Every nonempty subset of every tournament with n <= 5: growth either
+        # spans the subset or gets stuck, and it gets stuck exactly when the
+        # subset is not strong.
+        for n in range(1, 6):
+            for t in enumerate_all(n):
+                for size in range(1, n + 1):
+                    for subset in itertools.combinations(range(n), size):
+                        if not brute_strong_subset(t, subset):
+                            with pytest.raises(NotStrongSubsetError):
+                                hamiltonian_cycle(t, subset)
+                        elif size == 1:
+                            assert hamiltonian_cycle(t, subset) == subset
+                        else:
+                            assert_valid_cycle(t, hamiltonian_cycle(t, subset), subset)
+
+    def test_fallback_seed(self):
+        # The lowest out-neighbor 1 of vertex 0 beats no in-neighbor of 0, so
+        # the seed comes from the pair scan (0 -> 3 -> 2 -> 0, at b = 2), and
+        # then 1 is spliced in between 0 and 3.
+        t = from_edge_list(4, [(0, 1), (0, 3), (1, 3), (2, 0), (2, 1), (3, 2)])
+        assert hamiltonian_cycle(t, range(4)) == (0, 1, 3, 2)
 
     def test_absorption_of_dominator_and_dominated(self):
         # Vertex 3 beats the whole seed triangle and 4 loses to all of it, so
