@@ -14,13 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Tournament, mask_to_vertices
-from .errors import (
-    EmptySubsetError,
-    NotAKingError,
-    OrderTooSmallError,
-    VertexOutOfRangeError,
-)
+from .core import Tournament, checked_subset, mask_to_vertices
+from .errors import NotAKingError, OrderTooSmallError, VertexOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -52,14 +47,7 @@ def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...],
     inside the subset, so a block is the set of vertices whose scores fall
     between two consecutive cut points of the descending score sequence.
     """
-    verts = sorted(set(subset))
-    if not verts:
-        raise EmptySubsetError("cannot condense an empty subset")
-    if verts[0] < 0 or verts[-1] >= t.n:
-        raise VertexOutOfRangeError(f"subset not contained in [0, {t.n})")
-    sub_mask = 0
-    for v in verts:
-        sub_mask |= 1 << v
+    verts, sub_mask = checked_subset(t, subset)
     out_masks = t.out_masks
     scores = [(out_masks[v] & sub_mask).bit_count() for v in verts]
     m = len(verts)

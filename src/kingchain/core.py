@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
     DuplicatePairError,
+    EmptySubsetError,
     ExhaustedTriesError,
     MissingPairError,
     OrderTooLargeError,
@@ -32,6 +34,10 @@ EXPORT_FORMATS = ("text", "dot", "json")
 
 # A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
 _FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
+
+# int() also reads "+", "_" and non-ASCII digits; a token may hold only ASCII
+# digits and "-", and int() rejects a misplaced "-".
+_NON_DECIMAL = re.compile(r"[^\s0-9-]")
 
 
 def pair_count(n: int) -> int:
@@ -54,6 +60,19 @@ def mask_to_vertices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def checked_subset(t: Tournament, subset: Iterable[int]) -> tuple[list[int], int]:
+    """Ascending distinct vertices of a nonempty subset of t, and their bitmask."""
+    verts = sorted(set(subset))
+    if not verts:
+        raise EmptySubsetError("subset must be nonempty")
+    if verts[0] < 0 or verts[-1] >= t.n:
+        raise VertexOutOfRangeError(f"subset not contained in [0, {t.n})")
+    mask = 0
+    for v in verts:
+        mask |= 1 << v
+    return verts, mask
 
 
 @dataclass(frozen=True)
@@ -203,10 +222,13 @@ def export(t: Tournament, format: str = "text") -> str:
 
 
 def parse_text(text: str) -> Tournament:
-    """Inverse of export(t, "text"); whitespace-tolerant."""
+    """Inverse of export(t, "text"); whitespace-tolerant, ASCII decimal tokens only."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty tournament text")
+    bad = _NON_DECIMAL.search(text)
+    if bad:
+        raise ValueError(f"non-decimal character {bad.group()!r} in tournament text")
     try:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:

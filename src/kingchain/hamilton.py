@@ -10,24 +10,13 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Tournament, mask_to_vertices
+from .core import Tournament, checked_subset, mask_to_vertices
 from .errors import (
-    EmptySubsetError,
     InternalContradictionError,
     NotStrongSubsetError,
     OrderTwoSubsetError,
     TargetNotInSubsetError,
-    VertexOutOfRangeError,
 )
-
-
-def _checked_vertices(t: Tournament, subset: Iterable[int]) -> list[int]:
-    verts = sorted(set(subset))
-    if not verts:
-        raise EmptySubsetError("subset must be nonempty")
-    if verts[0] < 0 or verts[-1] >= t.n:
-        raise VertexOutOfRangeError(f"subset not contained in [0, {t.n})")
-    return verts
 
 
 def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
@@ -37,7 +26,7 @@ def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     slot: prepend, then the internal slots left to right, then append. One of
     these always exists, so construction never fails.
     """
-    verts = _checked_vertices(t, subset)
+    verts, _ = checked_subset(t, subset)
     out_masks = t.out_masks
     path = [verts[0]]
     for v in verts[1:]:
@@ -108,59 +97,55 @@ def hamiltonian_cycle(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     Starting from a 3-cycle, each round either splices in an outside vertex
     with both an in- and an out-neighbor on the cycle, or, when every outside
     vertex dominates or is dominated by the whole cycle, absorbs a dominated
-    vertex followed by a dominator, growing the cycle by two. A subset is
+    vertex followed by a dominator, growing the cycle by two. The dominators
+    and the dominated are two masks updated as each vertex joins the cycle,
+    so no round rescans the outside vertices. A subset is
     strong iff it has a Hamiltonian cycle (Camion 1959), so growth gets stuck,
     with `NotStrongSubsetError`, exactly when the subset is not strong.
     """
-    verts = _checked_vertices(t, subset)
+    verts, sub_mask = checked_subset(t, subset)
     if len(verts) == 1:
         return (verts[0],)
     if len(verts) == 2:
         raise OrderTwoSubsetError("no strong subtournament on exactly two vertices")
 
     out_masks = t.out_masks
-    sub_mask = 0
-    for v in verts:
-        sub_mask |= 1 << v
     cycle = _seed_triangle(t, verts, sub_mask)
-    cyc_mask = (1 << cycle[0]) | (1 << cycle[1]) | (1 << cycle[2])
-
-    while cyc_mask != sub_mask:
-        outside = sub_mask & ~cyc_mask
-        dominators = 0
-        for z in mask_to_vertices(outside):
-            zm = out_masks[z]
-            if not cyc_mask & ~zm:
-                dominators |= 1 << z
-            elif zm & cyc_mask:
-                cycle.insert(splice_slot(t, cycle, z) + 1, z)
-                cyc_mask |= 1 << z
+    cyc_mask, dominators, dominated = 0, sub_mask, sub_mask
+    added = tuple(cycle)
+    while True:
+        for v in added:
+            cyc_mask |= 1 << v
+            dominators &= ~out_masks[v] & ~(1 << v)
+            dominated &= out_masks[v]
+        if cyc_mask == sub_mask:
+            return tuple(cycle)
+        mixed = sub_mask & ~cyc_mask & ~dominators & ~dominated
+        if mixed:
+            z = (mixed & -mixed).bit_length() - 1
+            cycle.insert(splice_slot(t, cycle, z) + 1, z)
+            added = (z,)
+            continue
+        # Every outside vertex beats the whole cycle or loses to all of it.
+        for low in mask_to_vertices(dominated):
+            hits = out_masks[low] & dominators
+            if hits:
                 break
         else:
-            # Every outside vertex beats the whole cycle or loses to all of it.
-            for low in mask_to_vertices(outside & ~dominators):
-                hits = out_masks[low] & dominators
-                if hits:
-                    high = (hits & -hits).bit_length() - 1
-                    cycle.extend((low, high))
-                    cyc_mask |= (1 << low) | (1 << high)
-                    break
-            else:
-                raise NotStrongSubsetError("no edge from a dominated vertex to a dominator")
-    return tuple(cycle)
+            raise NotStrongSubsetError("no edge from a dominated vertex to a dominator")
+        added = (low, (hits & -hits).bit_length() - 1)
+        cycle.extend(added)
 
 
 def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[int, ...]:
     """Hamiltonian path of a strong subset whose final vertex is `target`.
 
     Obtained by cutting the Hamiltonian cycle right after `target` and
-    unrolling it; `hamiltonian_cycle` rejects a subset that is not strong.
+    unrolling it. The subset is checked first: `hamiltonian_cycle` rejects one
+    that is not strong even when `target` also lies outside it.
     """
-    verts = _checked_vertices(t, subset)
-    if target not in verts:
+    cycle = hamiltonian_cycle(t, subset)
+    if target not in cycle:
         raise TargetNotInSubsetError(f"target {target} not in subset")
-    if len(verts) == 1:
-        return (target,)
-    cycle = hamiltonian_cycle(t, verts)
     i = cycle.index(target)
     return cycle[i + 1 :] + cycle[: i + 1]

@@ -81,6 +81,12 @@ class TestChain:
         assert main(["chain", "--input", t4a_file, "--king", "3"]) == 1
         assert "NotAKing" in capsys.readouterr().err
 
+    def test_non_decimal_token_fails(self, capsys, tmp_path):
+        path = tmp_path / "underscore.txt"
+        path.write_text("3\n0 1\n1 2\n2 0_0\n")
+        assert main(["chain", "--input", str(path), "--king", "auto"]) == 1
+        assert "non-decimal" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["chain", "--input", "/nonexistent.txt", "--king", "auto"]) == 1
         assert capsys.readouterr().err.startswith("error:")

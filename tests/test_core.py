@@ -184,6 +184,10 @@ class TestExport:
             parse_text("3\n0 1\n1 2\n2\n")
         with pytest.raises(MissingPairError):
             parse_text("3\n0 1\n1 2\n")
+        # int() reads all of these; the format allows only ASCII decimal tokens.
+        for token in ("0_0", "1_2", "+0", "\u0660"):
+            with pytest.raises(ValueError, match="non-decimal"):
+                parse_text(f"3\n0 1\n1 2\n2 {token}\n")
 
 
 class TestTournamentValue:

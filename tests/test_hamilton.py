@@ -1,5 +1,6 @@
 """Tests for Hamiltonian path and cycle construction."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,9 +19,51 @@ from kingchain.errors import (
     NotStrongSubsetError,
     OrderTwoSubsetError,
     TargetNotInSubsetError,
+    TournamentError,
 )
 
 from brute import brute_strong_subset
+
+
+# sha256 of hamiltonian_cycle's output or exception class name on every
+# nonempty subset of every tournament of each order, and on 3,000 seeded random
+# subsets with n <= 60. Frozen from the code before the mask-tracked growth;
+# a refactor must reproduce them.
+CYCLE_DIGESTS = {
+    1: "a0c83a831e4a1cbcbe67282d5da1f03dae9057a635686e12936747b3f0c7bc9d",
+    2: "b1994d01df29355e977c432f730025a01a521ccb7d2aeaee230f01bcef2054da",
+    3: "448630bf3186afbacf591d0ebf420b8bd0b641af69cea3699c7115e18a96f37e",
+    4: "ed1e2b99b010de8efcbe994b1584905ec854d2728459e9fd7df569592b451bd0",
+    5: "f4281324457667db078f2442588ce4063dff816c3646475471e730b10ddb2eec",
+    "random": "648f1e0a4b18c7ed0203d96487aaf60f8b0aacb44fdc1ad6884750c27fafabac",
+}
+
+
+def cycle_digest(calls):
+    h = hashlib.sha256()
+    for t, subset in calls:
+        try:
+            out = repr(hamiltonian_cycle(t, subset))
+        except TournamentError as exc:
+            out = type(exc).__name__
+        h.update(f"{t.n} {t.bits} {subset} {out}\n".encode())
+    return h.hexdigest()
+
+
+def every_subset(n):
+    for t in enumerate_all(n):
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                yield t, subset
+
+
+def random_subsets(count):
+    rng = random.Random(4)
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        t = random_tournament(n, rng.randrange(10**6))
+        keep = rng.random()
+        yield t, tuple(v for v in range(n) if rng.random() < keep)
 
 
 def assert_valid_path(t, path, subset):
@@ -119,6 +162,13 @@ class TestHamiltonianCycle:
         assert_valid_cycle(t, cycle, range(5))
         assert cycle == (0, 1, 2, 4, 3)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_frozen_every_subset(self, n):
+        assert cycle_digest(every_subset(n)) == CYCLE_DIGESTS[n]
+
+    def test_frozen_random_subsets(self):
+        assert cycle_digest(random_subsets(3000)) == CYCLE_DIGESTS["random"]
+
     def test_random_strong_subsets(self):
         rng = random.Random(12)
         found = 0
@@ -147,9 +197,13 @@ class TestPathEndingAt:
         with pytest.raises(TargetNotInSubsetError):
             path_ending_at(t4a, [0, 1, 2], 3)
 
-    def test_not_strong(self, transitive_triangle):
+    def test_not_strong(self, transitive_triangle, t4a):
         with pytest.raises(NotStrongSubsetError):
             path_ending_at(transitive_triangle, [0, 1, 2], 1)
+        # The subset is checked before the target: {0, 2, 3} is transitive in
+        # t4a, so that error wins over target 1 lying outside it.
+        with pytest.raises(NotStrongSubsetError):
+            path_ending_at(t4a, [0, 2, 3], 1)
 
     def test_two_vertex_subset_is_never_strong(self, t4a):
         with pytest.raises(NotStrongSubsetError):
