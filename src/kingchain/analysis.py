@@ -91,11 +91,10 @@ def kings(t: Tournament) -> tuple[int, ...]:
 def king_context(t: Tournament, k: int) -> KingContext:
     """Split the vertex set around king k into its out-set and in-set.
 
-    Requires order >= 3. Strong connectivity is not checked here (the in-set
-    may then be empty); `chain.find_exit_edge` detects it.
+    Requires order >= 3; `is_king` rejects a k outside the order. Strong
+    connectivity is not checked here (the in-set may then be empty);
+    `chain.find_exit_edge` detects it.
     """
-    if not 0 <= k < t.n:
-        raise VertexOutOfRangeError(f"vertex {k} outside order {t.n}")
     if t.n < 3:
         raise OrderTooSmallError(f"king context needs order >= 3, got {t.n}")
     if not is_king(t, k):

@@ -38,7 +38,6 @@ from .errors import (
     CycleAlreadySpanningError,
     MalformedCertificateError,
     NotStrongError,
-    OrderTooSmallError,
 )
 from .hamilton import hamiltonian_path, path_ending_at, splice_slot
 
@@ -184,8 +183,6 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     Returns the certificate: cycles C_3..C_n, the insertion linking each
     cycle to the next, and the intermediate construction data.
     """
-    if t.n < 3:
-        raise OrderTooSmallError(f"chain construction needs order >= 3, got {t.n}")
     ctx = king_context(t, k)
     blocks = condensation(t, ctx.out_set)
     exit_edge = find_exit_edge(t, ctx, blocks)

@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive", help="verify every king of every strong tournament of order n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes, capped at the CPU count (default 1)",
+    )
 
     p = sub.add_parser("stress", help="verify seeded random strong tournaments")
     p.add_argument("--n", type=int, required=True)
@@ -77,6 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="tournament text file, or - for stdin")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -163,7 +169,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except TournamentError as exc:

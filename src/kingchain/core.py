@@ -9,7 +9,6 @@ and enumerating all labeled tournaments is counting a bitmask.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import defaultdict
@@ -30,7 +29,8 @@ from .errors import (
 # 2^28 orientations for n=8 is the practical ceiling for full enumeration.
 ENUMERATION_LIMIT = 8
 
-EXPORT_FORMATS = ("text", "dot", "json")
+# How many seeds random_strong_tournament tries before giving up.
+STRONG_TRIES = 256
 
 # A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
 _FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
@@ -94,14 +94,14 @@ class Tournament:
             raise ValueError(f"orientation bits out of range for n={self.n}")
         n, bits = self.n, self.bits
         masks = [0] * n
-        p = 0
+        # Row u is the next n-1-u bits: the pairs (u, v) for v > u, in order.
         for u in range(n - 1):
-            for v in range(u + 1, n):
-                if bits >> p & 1:
-                    masks[u] |= 1 << v
-                else:
-                    masks[v] |= 1 << u
-                p += 1
+            full = (1 << (n - 1 - u)) - 1
+            row = bits & full
+            bits >>= n - 1 - u
+            masks[u] |= row << (u + 1)
+            for v in mask_to_vertices((full & ~row) << (u + 1)):
+                masks[v] |= 1 << u
         object.__setattr__(self, "out_masks", tuple(masks))
 
     def beats(self, u: int, v: int) -> bool:
@@ -159,7 +159,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(n, bits)
 
 
-def random_strong_tournament(n: int, seed: int, max_tries: int = 256) -> Tournament:
+def random_strong_tournament(n: int, seed: int) -> Tournament:
     """Rejection-sample seeded random tournaments until one is strong.
 
     Attempt i draws random_tournament(n, seed + i), so the result is
@@ -171,12 +171,12 @@ def random_strong_tournament(n: int, seed: int, max_tries: int = 256) -> Tournam
 
     if n == 2:
         raise OrderTwoImpossibleError("a 2-vertex tournament is a single arc")
-    for attempt in range(max_tries):
+    for attempt in range(STRONG_TRIES):
         t = random_tournament(n, seed + attempt)
         if is_strong(t):
             return t
     raise ExhaustedTriesError(
-        f"no strong tournament of order {n} in {max_tries} tries from seed {seed}"
+        f"no strong tournament of order {n} in {STRONG_TRIES} tries from seed {seed}"
     )
 
 
@@ -205,7 +205,6 @@ def export(t: Tournament, format: str = "text") -> str:
 
     text: first line n, then one "u v" line per edge, ascending by (u, then v).
     dot:  a digraph with one edge statement per arc.
-    json: {"n": ..., "edges": [[u, v], ...]} in the same edge order.
     """
     if format == "text":
         lines = [str(t.n)]
@@ -216,9 +215,7 @@ def export(t: Tournament, format: str = "text") -> str:
         lines.extend(f"  {u} -> {v};" for u, v in t.edges())
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if format == "json":
-        return json.dumps({"n": t.n, "edges": [[u, v] for u, v in t.edges()]}) + "\n"
-    raise ValueError(f"unknown export format {format!r}; expected one of {EXPORT_FORMATS}")
+    raise ValueError(f"unknown export format {format!r}; expected 'text' or 'dot'")
 
 
 def parse_text(text: str) -> Tournament:

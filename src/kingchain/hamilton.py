@@ -22,24 +22,21 @@ from .errors import (
 def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     """Path visiting every vertex of `subset` once, following edges forward.
 
-    Vertices are inserted in ascending index order, each at the first valid
-    slot: prepend, then the internal slots left to right, then append. One of
-    these always exists, so construction never fails.
+    Vertices are inserted in ascending index order by Rédei's rule (1934):
+    each goes just before the first path vertex it beats, or at the end if it
+    beats none. Every earlier path vertex beats it, so that slot is valid, and
+    no earlier slot is, since one would need it to beat an earlier vertex.
     """
     verts, _ = checked_subset(t, subset)
     out_masks = t.out_masks
     path = [verts[0]]
     for v in verts[1:]:
         vm = out_masks[v]
-        if vm >> path[0] & 1:
-            path.insert(0, v)
-            continue
-        for i in range(len(path) - 1):
-            if out_masks[path[i]] >> v & 1 and vm >> path[i + 1] & 1:
-                path.insert(i + 1, v)
+        for i, u in enumerate(path):
+            if vm >> u & 1:
+                path.insert(i, v)
                 break
         else:
-            # No valid slot earlier forces the current tail to beat v.
             path.append(v)
     return tuple(path)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -268,20 +269,6 @@ class ExhaustiveSummary:
             lines.append(f"counterexample_index={self.counterexample.index}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "tournaments": self.tournaments,
-            "strong": self.strong_tournaments,
-            "pairs": self.pairs,
-            "failures": self.failures,
-            "jobs": self.jobs,
-            "elapsed_seconds": self.elapsed_seconds,
-            "counterexample_index": None
-            if self.counterexample is None
-            else self.counterexample.index,
-        }
-
 
 def _check_pair(t: Tournament, king: int, index: int) -> Counterexample | None:
     try:
@@ -335,9 +322,10 @@ def exhaustive_check(n: int, jobs: int = 1) -> ExhaustiveSummary:
     """Build and verify a chain for every king of every strong tournament of order n.
 
     With jobs > 1 the enumeration index range is split into disjoint chunks
-    scanned by worker processes; counts merge by addition, and the reported
-    counterexample (never expected) is the one with the lowest enumeration
-    index, so results do not depend on the job count.
+    scanned by worker processes, at most one per CPU; counts merge by
+    addition, and the reported counterexample (never expected) is the one
+    with the lowest enumeration index, so results do not depend on the job
+    count.
     """
     if not EXHAUSTIVE_MIN_ORDER <= n <= EXHAUSTIVE_MAX_ORDER:
         raise OrderOutOfRangeError(
@@ -346,6 +334,7 @@ def exhaustive_check(n: int, jobs: int = 1) -> ExhaustiveSummary:
         )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     total = 1 << pair_count(n)
     started = time.perf_counter()
     if jobs == 1:
@@ -403,20 +392,6 @@ class StressSummary:
         if self.first_failure is not None:
             lines.append(f"first_failure={self.first_failure}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "pairs": self.pairs,
-            "failures": self.failures,
-            "first_failure": self.first_failure,
-            "build_seconds_p50": self.build_seconds_p50,
-            "build_seconds_p90": self.build_seconds_p90,
-            "build_seconds_max": self.build_seconds_max,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def random_stress(n: int, trials: int, seed: int) -> StressSummary:

@@ -3,12 +3,27 @@ plus a generator of near-transitive inputs, which have many strong blocks.
 
 Everything here works off the exported edge list only, with plain dict/set
 graph traversal, so a bug in the package's bitmask machinery cannot hide
-behind itself.
+behind itself. The one exception, `brute_out_masks`, reads the packed bits one
+pair at a time, as the reference for the row-wise unpacking in `Tournament`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+
+def brute_out_masks(n: int, bits: int) -> tuple[int, ...]:
+    """Out-neighborhood bitmasks, read one pair at a time in lexicographic order."""
+    masks = [0] * n
+    p = 0
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            if bits >> p & 1:
+                masks[u] |= 1 << v
+            else:
+                masks[v] |= 1 << u
+            p += 1
+    return tuple(masks)
 
 
 def adjacency(t) -> dict[int, set[int]]:

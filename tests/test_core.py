@@ -1,7 +1,6 @@
 """Tests for tournament construction, generation, enumeration, and export."""
 
 import itertools
-import json
 import random
 import tracemalloc
 
@@ -26,7 +25,7 @@ from kingchain.errors import (
     VertexOutOfRangeError,
 )
 
-from brute import brute_strong
+from brute import brute_out_masks, brute_strong
 
 
 class TestPairIndexing:
@@ -159,12 +158,6 @@ class TestExport:
             t = random_tournament(random.Random(seed).randint(1, 15), seed)
             assert parse_text(export(t, "text")) == t
 
-    def test_json(self, t4a):
-        obj = json.loads(export(t4a, "json"))
-        assert obj["n"] == 4
-        assert len(obj["edges"]) == 6
-        assert [0, 1] in obj["edges"]
-
     def test_dot(self, three_cycle):
         dot = export(three_cycle, "dot")
         assert dot.startswith("digraph")
@@ -172,8 +165,9 @@ class TestExport:
         assert dot.rstrip().endswith("}")
 
     def test_unknown_format(self, three_cycle):
-        with pytest.raises(ValueError):
-            export(three_cycle, "yaml")
+        for fmt in ("yaml", "json"):
+            with pytest.raises(ValueError):
+                export(three_cycle, fmt)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -204,6 +198,15 @@ class TestTournamentValue:
             Tournament(3, 8)
         with pytest.raises(ValueError):
             Tournament(0, 0)
+
+    def test_unpack_matches_pairwise_reference(self):
+        for n in range(1, 7):
+            for bits in range(1 << pair_count(n)):
+                assert Tournament(n, bits).out_masks == brute_out_masks(n, bits)
+        rng = random.Random(6)
+        for n in [1, 2] + [rng.randint(3, 300) for _ in range(198)]:
+            bits = rng.getrandbits(pair_count(n))
+            assert Tournament(n, bits).out_masks == brute_out_masks(n, bits)
 
     def test_out_degree_sum(self):
         t = random_tournament(12, 5)

@@ -38,12 +38,23 @@ CYCLE_DIGESTS = {
     "random": "648f1e0a4b18c7ed0203d96487aaf60f8b0aacb44fdc1ad6884750c27fafabac",
 }
 
+# Digests of the same calls for hamiltonian_path, frozen from the code before
+# Rédei's single insertion rule replaced the prepend, internal and append slots.
+PATH_DIGESTS = {
+    1: "a0c83a831e4a1cbcbe67282d5da1f03dae9057a635686e12936747b3f0c7bc9d",
+    2: "89aff938c5c78407ef08979db3c8b1163d644c6a2f01aa319fe8a710c27e55b4",
+    3: "23c21e4921011b6f6b0a09ab803b2593ed39bcc50691df0f7bec1f1830556695",
+    4: "ea647ad2c2bb74e1e88330fc69f998a9aabfa6a52d641ed04f086249b3d0de8d",
+    5: "eb9e8135e0b29502227b383f111c8fbb778989323ef565db8c1d54cc173a27b7",
+    "random": "c138e32c551cc680078165fce6437116e05e0aef3d467dbc9b7bc7d5e94985a0",
+}
 
-def cycle_digest(calls):
+
+def digest(fn, calls):
     h = hashlib.sha256()
     for t, subset in calls:
         try:
-            out = repr(hamiltonian_cycle(t, subset))
+            out = repr(fn(t, subset))
         except TournamentError as exc:
             out = type(exc).__name__
         h.update(f"{t.n} {t.bits} {subset} {out}\n".encode())
@@ -107,6 +118,13 @@ class TestHamiltonianPath:
             subset = [v for v in range(n) if rng.random() < 0.6] or [0]
             assert_valid_path(t, hamiltonian_path(t, subset), subset)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_frozen_every_subset(self, n):
+        assert digest(hamiltonian_path, every_subset(n)) == PATH_DIGESTS[n]
+
+    def test_frozen_random_subsets(self):
+        assert digest(hamiltonian_path, random_subsets(3000)) == PATH_DIGESTS["random"]
+
 
 class TestHamiltonianCycle:
     def test_three_cycle(self, three_cycle):
@@ -164,10 +182,10 @@ class TestHamiltonianCycle:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_frozen_every_subset(self, n):
-        assert cycle_digest(every_subset(n)) == CYCLE_DIGESTS[n]
+        assert digest(hamiltonian_cycle, every_subset(n)) == CYCLE_DIGESTS[n]
 
     def test_frozen_random_subsets(self):
-        assert cycle_digest(random_subsets(3000)) == CYCLE_DIGESTS["random"]
+        assert digest(hamiltonian_cycle, random_subsets(3000)) == CYCLE_DIGESTS["random"]
 
     def test_random_strong_subsets(self):
         rng = random.Random(12)

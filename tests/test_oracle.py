@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -209,10 +210,28 @@ class TestExhaustiveCheck:
         assert "failures=0" in text
         assert text.endswith("\n")
 
-    def test_summary_json(self):
-        obj = exhaustive_check(3).to_json_dict()
-        assert obj["pairs"] == 6
-        assert obj["counterexample_index"] is None
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(chunk) for chunk in chunks]
+
+        cpus = os.cpu_count() or 1
+        monkeypatch.setattr(kingchain.oracle.multiprocessing, "Pool", SerialPool)
+        summary = exhaustive_check(4, jobs=cpus + 1)
+        assert sizes and max(sizes) <= cpus
+        assert summary.jobs <= cpus
+        assert summary == exhaustive_check(4, jobs=1)
 
 
 class TestRandomStress:
