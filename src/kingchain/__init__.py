@@ -19,7 +19,6 @@ from .chain import (
     Insertion,
     build_chain,
     build_ladder,
-    certificate_from_json,
     certificate_json,
     dumps_certificate,
     extend_cycle,
@@ -59,7 +58,6 @@ __all__ = [
     "brute_is_king_of_induced",
     "build_chain",
     "build_ladder",
-    "certificate_from_json",
     "certificate_json",
     "condensation",
     "dumps_certificate",

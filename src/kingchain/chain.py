@@ -84,11 +84,12 @@ def find_exit_edge(
 ) -> ExitEdge:
     """Locate the exit edge on a shortest path from the last block to the king.
 
-    Breadth-first search from the lowest vertex of the last block, neighbors
-    in ascending order, stays inside that block: every edge leaving the last
-    block of the out-set enters the in-set, and every in-set vertex beats the
-    king. The first dequeued vertex with an in-set out-neighbor is the tail;
-    its lowest such out-neighbor is the head.
+    Breadth-first search from the lowest vertex of the last block, bounded
+    by the king's out-set, neighbors in ascending order, stays inside that
+    block: every edge leaving the last block of the out-set enters the
+    in-set, and every in-set vertex beats the king. The first dequeued
+    vertex with an in-set out-neighbor is the tail; its lowest such
+    out-neighbor is the head.
 
     The last block has no edge into the in-set exactly when the tournament
     is not strong, and then `NotStrongError` is raised. That block beats no
@@ -98,10 +99,8 @@ def find_exit_edge(
     king; losing to every other vertex, it is the out-set's last block.
     """
     out_masks = t.out_masks
-    in_mask = ~(out_masks[ctx.king] | 1 << ctx.king)
-    block_mask = 0
-    for v in blocks[-1]:
-        block_mask |= 1 << v
+    out_set = out_masks[ctx.king]
+    in_mask = ~(out_set | 1 << ctx.king)
     # Dequeue in discovery order; scanning each level in ascending index
     # instead would pick a different tail on some tournaments.
     queue = [blocks[-1][0]]
@@ -110,7 +109,7 @@ def find_exit_edge(
         hits = out_masks[v] & in_mask
         if hits:
             return ExitEdge(tail=v, head=(hits & -hits).bit_length() - 1)
-        fresh = out_masks[v] & block_mask & ~seen
+        fresh = out_masks[v] & out_set & ~seen
         seen |= fresh
         queue.extend(mask_to_vertices(fresh))
     raise NotStrongError("tournament is not strongly connected")
@@ -221,12 +220,23 @@ def certificate_json(t: Tournament, chain: CycleChain) -> dict[str, Any]:
     }
 
 
-def certificate_from_json(obj: dict[str, Any]) -> tuple[Tournament, CycleChain]:
-    """Inverse of certificate_json; round-trips losslessly.
+def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
+    """Serialize deterministically; identical chains give identical bytes."""
+    return json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
+
+
+def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
+    """Inverse of dumps_certificate; round-trips losslessly.
 
     The order, the king, every cycle vertex, every insertion field and every
     tournament endpoint must be a JSON integer.
     """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+        raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedCertificateError("certificate must be a JSON object")
     try:
         edges, cycles = obj["tournament"], obj["cycles"]
         records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
@@ -252,18 +262,3 @@ def certificate_from_json(obj: dict[str, Any]) -> tuple[Tournament, CycleChain]:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"certificate missing or mistyped field: {exc}") from exc
     return t, chain
-
-
-def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
-    """Serialize deterministically; identical chains give identical bytes."""
-    return json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
-
-
-def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
-        raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedCertificateError("certificate must be a JSON object")
-    return certificate_from_json(obj)

@@ -270,62 +270,63 @@ class ExhaustiveSummary:
         return "\n".join(lines) + "\n"
 
 
-def _check_pair(t: Tournament, king: int, index: int) -> Counterexample | None:
-    try:
-        chain = build_chain(t, king)
-    except TournamentError as exc:
-        return Counterexample(
-            index=index,
-            n=t.n,
-            king=king,
-            stage="build",
-            detail=f"{type(exc).__name__}: {exc}",
-            tournament_text=export(t, "text"),
-            certificate=None,
-        )
-    report = verify_chain(t, chain)
-    if report.passed:
-        return None
-    return Counterexample(
-        index=index,
-        n=t.n,
-        king=king,
-        stage="verify",
-        detail=report.first_failure or "unknown",
-        tournament_text=export(t, "text"),
-        certificate=certificate_json(t, chain),
-    )
+def _check_kings(t: Tournament, index: int) -> tuple[int, int, Counterexample | None, list[float]]:
+    """Build and verify the chain of every king of t, for both sweeps.
+
+    Returns the pair and failure counts, the first failing king's
+    counterexample (filed under `index`) and the time of every build.
+    """
+    pairs = failures = 0
+    first: Counterexample | None = None
+    build_times: list[float] = []
+    for king in _brute_kings(t):
+        pairs += 1
+        started = time.perf_counter()
+        try:
+            chain = build_chain(t, king)
+        except TournamentError as exc:
+            stage, detail, certificate = "build", f"{type(exc).__name__}: {exc}", None
+        else:
+            build_times.append(time.perf_counter() - started)
+            report = verify_chain(t, chain)
+            if report.passed:
+                continue
+            stage, detail = "verify", report.first_failure
+            certificate = certificate_json(t, chain)
+        failures += 1
+        if first is None:
+            first = Counterexample(index, t.n, king, stage, detail, export(t, "text"), certificate)
+    return pairs, failures, first, build_times
 
 
-def _scan_range(args: tuple[int, int, int]) -> tuple[int, int, int, int, Counterexample | None]:
-    """Worker: scan tournament indices [start, stop), abort on first failure."""
+def _scan_range(args: tuple[int, int, int]) -> tuple[int, int, int, Counterexample | None]:
+    """Worker: check every strong tournament with index in [start, stop), to the end.
+
+    Returns the strong, pair and failure counts and the lowest-index counterexample.
+    """
     n, start, stop = args
-    tournaments = strong = pairs = failures = 0
+    strong = pairs = failures = 0
     found: Counterexample | None = None
     for t in enumerate_all(n, start, stop):
-        tournaments += 1
         if not is_strong(t):
             continue
         strong += 1
-        for king in _brute_kings(t):
-            pairs += 1
-            found = _check_pair(t, king, t.bits)
-            if found is not None:
-                failures += 1
-                break
-        if found is not None:
-            break
-    return tournaments, strong, pairs, failures, found
+        checked, failed, first, _ = _check_kings(t, t.bits)
+        pairs += checked
+        failures += failed
+        found = found or first
+    return strong, pairs, failures, found
 
 
 def exhaustive_check(n: int, jobs: int = 1) -> ExhaustiveSummary:
     """Build and verify a chain for every king of every strong tournament of order n.
 
-    With jobs > 1 the enumeration index range is split into disjoint chunks
-    scanned by worker processes, at most one per CPU; counts merge by
-    addition, and the reported counterexample (never expected) is the one
-    with the lowest enumeration index, so results do not depend on the job
-    count.
+    The sweep runs to its end even when something fails: `failures` counts
+    every failing (tournament, king) pair, and the counterexample (never
+    expected) is the one with the lowest enumeration index. With jobs > 1
+    the enumeration index range is split into disjoint chunks scanned by
+    worker processes, at most one per CPU, and counts merge by addition, so
+    every count and the counterexample are the same for any job count.
     """
     if not EXHAUSTIVE_MIN_ORDER <= n <= EXHAUSTIVE_MAX_ORDER:
         raise OrderOutOfRangeError(
@@ -344,15 +345,14 @@ def exhaustive_check(n: int, jobs: int = 1) -> ExhaustiveSummary:
         chunks = [(n, bounds[i], bounds[i + 1]) for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_scan_range, chunks)
-    tournaments = sum(r[0] for r in results)
-    strong = sum(r[1] for r in results)
-    pairs = sum(r[2] for r in results)
-    failures = sum(r[3] for r in results)
-    examples = [r[4] for r in results if r[4] is not None]
-    counterexample = min(examples, key=lambda c: c.index) if examples else None
+    strong = sum(r[0] for r in results)
+    pairs = sum(r[1] for r in results)
+    failures = sum(r[2] for r in results)
+    # Chunks ascend by index, so the first counterexample found is the lowest.
+    counterexample = next((r[3] for r in results if r[3] is not None), None)
     return ExhaustiveSummary(
         n=n,
-        tournaments=tournaments,
+        tournaments=total,
         strong_tournaments=strong,
         pairs=pairs,
         failures=failures,
@@ -410,22 +410,12 @@ def random_stress(n: int, trials: int, seed: int) -> StressSummary:
     build_times: list[float] = []
     for trial in range(trials):
         t = random_strong_tournament(n, seed + trial)
-        for king in _brute_kings(t):
-            pairs += 1
-            t0 = time.perf_counter()
-            try:
-                chain = build_chain(t, king)
-            except TournamentError as exc:
-                failures += 1
-                if first_failure is None:
-                    first_failure = f"trial {trial} king {king}: {type(exc).__name__}: {exc}"
-                continue
-            build_times.append(time.perf_counter() - t0)
-            report = verify_chain(t, chain)
-            if not report.passed:
-                failures += 1
-                if first_failure is None:
-                    first_failure = f"trial {trial} king {king}: {report.first_failure}"
+        checked, failed, first, times = _check_kings(t, trial)
+        pairs += checked
+        failures += failed
+        build_times += times
+        if first_failure is None and first is not None:
+            first_failure = f"trial {trial} king {first.king}: {first.detail}"
     build_times.sort()
 
     def percentile(q: float) -> float:

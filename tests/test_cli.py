@@ -41,6 +41,12 @@ class TestGenerate:
         assert main(["generate", "--n", "2", "--seed", "1", "--strong"]) == 1
         assert "OrderTwoImpossible" in capsys.readouterr().err
 
+    def test_order_too_large_for_the_generator(self, capsys):
+        # From n = 65,537 on, the pair count no longer fits the random
+        # generator's bit-count argument; this fails before any allocation.
+        assert main(["generate", "--n", "1000000000", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestChain:
     def test_worked_example(self, capsys, tmp_path, t4a_file):
@@ -177,6 +183,10 @@ class TestStress:
             with pytest.raises(SystemExit) as err:
                 main(["stress", "--n", "6", "--trials", trials, "--seed", "3"])
             assert err.value.code == 2
+
+    def test_order_too_large_for_the_generator(self, capsys):
+        assert main(["stress", "--n", "1000000000", "--trials", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestKings:

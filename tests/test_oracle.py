@@ -21,15 +21,60 @@ from kingchain import (
     verify_chain,
 )
 from kingchain.errors import (
+    InternalContradictionError,
     KingNotInSubsetError,
     MalformedCertificateError,
     OrderOutOfRangeError,
 )
 from kingchain.oracle import Counterexample, random_stress
 
+from brute import brute_kings, brute_strong
+
 
 def corrupted(chain, **replacements):
     return dataclasses.replace(chain, **replacements)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run the exhaustive chunks in this process; returns the pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(kingchain.oracle.multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+def inject_failures(monkeypatch, fails):
+    """Make the sweeps' build_chain fail wherever fails(t, king) says so.
+
+    "build" raises from the build; "verify" reverses C3, which only the
+    verification catches; anything else builds the real chain.
+    """
+    real = kingchain.oracle.build_chain
+
+    def build(t, king):
+        stage = fails(t, king)
+        if stage == "build":
+            raise InternalContradictionError("injected")
+        chain = real(t, king)
+        if stage == "verify":
+            chain = corrupted(chain, cycles=(chain.cycles[0][::-1],) + chain.cycles[1:])
+        return chain
+
+    monkeypatch.setattr(kingchain.oracle, "build_chain", build)
 
 
 class TestBruteIsKingOfInduced:
@@ -210,28 +255,41 @@ class TestExhaustiveCheck:
         assert "failures=0" in text
         assert text.endswith("\n")
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return [fn(chunk) for chunk in chunks]
-
+    def test_jobs_capped_at_cpu_count(self, serial_pool):
         cpus = os.cpu_count() or 1
-        monkeypatch.setattr(kingchain.oracle.multiprocessing, "Pool", SerialPool)
         summary = exhaustive_check(4, jobs=cpus + 1)
-        assert sizes and max(sizes) <= cpus
+        assert serial_pool and max(serial_pool) <= cpus
         assert summary.jobs <= cpus
         assert summary == exhaustive_check(4, jobs=1)
+
+    def test_failing_sweep_counts_do_not_depend_on_jobs(self, monkeypatch, serial_pool):
+        # Build failures on every third index, verify failures for king 0 on
+        # the next: a sweep runs to its end, so every chunk split agrees.
+        def fails(t, king):
+            if t.bits % 3 == 0:
+                return "build"
+            return "verify" if t.bits % 3 == 1 and king == 0 else None
+
+        inject_failures(monkeypatch, fails)
+        monkeypatch.setattr(kingchain.oracle.os, "cpu_count", lambda: 4)
+        serial = exhaustive_check(5, jobs=1)
+        split = exhaustive_check(5, jobs=4)
+        assert serial_pool == [4] and split.jobs == 4
+        assert split == serial
+        assert (serial.tournaments, serial.strong_tournaments, serial.pairs) == (1024, 544, 1880)
+
+        failing = [
+            (t.bits, king)
+            for t in kingchain.enumerate_all(5)
+            if brute_strong(t)
+            for king in brute_kings(t)
+            if fails(t, king)
+        ]
+        assert serial.failures == len(failing) > 0
+        index, king = failing[0]
+        cx = serial.counterexample
+        assert (cx.index, cx.king) == (index, king)
+        assert cx.stage == fails(kingchain.Tournament(5, index), king)
 
 
 class TestRandomStress:
@@ -249,6 +307,21 @@ class TestRandomStress:
         text = random_stress(6, trials=3, seed=2).to_text()
         assert "failures=0" in text
         assert "build_seconds_p50=" in text
+
+    @pytest.mark.parametrize(
+        "stage, first_failure",
+        [
+            ("build", "trial 1 king 1: InternalContradictionError: injected"),
+            ("verify", "trial 1 king 1: C3: not a directed cycle of the tournament"),
+        ],
+    )
+    def test_injected_failure_text(self, monkeypatch, stage, first_failure):
+        # Every king 1 fails. Trial 0's instance has no king 1, trials 1 and
+        # 2 have one each, and the sweep runs every trial.
+        inject_failures(monkeypatch, lambda t, king: stage if king == 1 else None)
+        summary = random_stress(6, trials=3, seed=0)
+        assert summary.first_failure == first_failure
+        assert (summary.pairs, summary.failures) == (14, 2)
 
 
 class TestCounterexampleDump:
