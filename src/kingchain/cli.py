@@ -96,7 +96,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     t = _read_tournament(args.input)
-    king = args.king if args.king is not None else analysis.kings(t)[0]
+    king = args.king
+    if king is None:  # the lowest king; the vertices above it go untested
+        king = next(v for v in range(t.n) if analysis.is_king(t, v))
     built = chain_mod.build_chain(t, king)
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as handle:

@@ -9,6 +9,7 @@ and enumerating all labeled tournaments is counting a bitmask.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import defaultdict
@@ -18,7 +19,6 @@ from typing import Iterable, Iterator
 from .errors import (
     DuplicatePairError,
     EmptySubsetError,
-    ExhaustedTriesError,
     MissingPairError,
     OrderTooLargeError,
     OrderTwoImpossibleError,
@@ -28,9 +28,6 @@ from .errors import (
 
 # 2^28 orientations for n=8 is the practical ceiling for full enumeration.
 ENUMERATION_LIMIT = 8
-
-# How many seeds random_strong_tournament tries before giving up.
-STRONG_TRIES = 256
 
 # A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
 _FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
@@ -154,30 +151,26 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Orient every pair by an independent fair coin; deterministic per (n, seed)."""
     if n < 1:
         raise ValueError(f"tournament order must be >= 1, got {n}")
-    m = pair_count(n)
-    bits = random.Random(seed).getrandbits(m) if m else 0
-    return Tournament(n, bits)
+    return Tournament(n, random.Random(seed).getrandbits(pair_count(n)))
 
 
-def random_strong_tournament(n: int, seed: int) -> Tournament:
-    """Rejection-sample seeded random tournaments until one is strong.
+def strong_tournaments(n: int, seed: int) -> Iterator[Tournament]:
+    """The strong draws among random_tournament(n, seed), (n, seed + 1), ..., in order.
 
-    Attempt i draws random_tournament(n, seed + i), so the result is
-    deterministic per (n, seed). Rejection keeps the sampling unbiased over
-    strong tournaments; a random tournament is strong with probability
-    approaching one, so a couple of tries almost always suffice.
+    Rejection keeps each element uniform over the strong tournaments. For
+    n >= 3 a draw is strong with probability at least 1/4 (2/8 at n=3, rising
+    to one with n; Moon and Moser 1962), so the stream never stalls.
     """
     from .analysis import is_strong
 
     if n == 2:
         raise OrderTwoImpossibleError("a 2-vertex tournament is a single arc")
-    for attempt in range(STRONG_TRIES):
-        t = random_tournament(n, seed + attempt)
-        if is_strong(t):
-            return t
-    raise ExhaustedTriesError(
-        f"no strong tournament of order {n} in {STRONG_TRIES} tries from seed {seed}"
-    )
+    return filter(is_strong, (random_tournament(n, s) for s in itertools.count(seed)))
+
+
+def random_strong_tournament(n: int, seed: int) -> Tournament:
+    """The first strong draw from the seed; stress trial i checks the i-th, so none repeats."""
+    return next(strong_tournaments(n, seed))
 
 
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Tournament]:

@@ -25,10 +25,6 @@ class OrderTwoImpossibleError(TournamentError):
     """No strong tournament on exactly two vertices exists."""
 
 
-class ExhaustedTriesError(TournamentError):
-    """Rejection sampling gave up before finding a strong tournament."""
-
-
 class OrderTooLargeError(TournamentError):
     """Requested order exceeds the exhaustive enumeration ceiling."""
 

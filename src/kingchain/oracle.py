@@ -6,13 +6,14 @@ shared piece is the tournament container itself. A disagreement between
 construction and verification is therefore meaningful.
 
 The two harnesses drive the full pipeline: `exhaustive_check` walks every
-labeled tournament of a small order, `random_stress` samples seeded strong
-tournaments of arbitrary order. Both report failure counts that are expected
-to be zero.
+labeled tournament of a small order, `random_stress` checks the first
+strong draws counting from a seed, at any order, so no trial repeats a draw.
+Both report failure counts that are expected to be zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -28,7 +29,7 @@ from .core import (
     enumerate_all,
     export,
     pair_count,
-    random_strong_tournament,
+    strong_tournaments,
 )
 from .errors import (
     KingNotInSubsetError,
@@ -307,9 +308,7 @@ def _scan_range(args: tuple[int, int, int]) -> tuple[int, int, int, Counterexamp
     n, start, stop = args
     strong = pairs = failures = 0
     found: Counterexample | None = None
-    for t in enumerate_all(n, start, stop):
-        if not is_strong(t):
-            continue
+    for t in filter(is_strong, enumerate_all(n, start, stop)):
         strong += 1
         checked, failed, first, _ = _check_kings(t, t.bits)
         pairs += checked
@@ -397,10 +396,10 @@ class StressSummary:
 def random_stress(n: int, trials: int, seed: int) -> StressSummary:
     """Stress the pipeline on seeded random strong tournaments.
 
-    Each trial draws random_strong_tournament(n, seed + trial) and runs the
-    full build-and-verify pipeline for every king of the instance. Repeating
-    a call reproduces the exact same instances and verdicts; only the timing
-    fields vary.
+    Trial i runs the full build-and-verify pipeline for every king of the
+    i-th strong draw from the seed (`core.strong_tournaments`), so no trial
+    repeats a draw. Repeating a call reproduces the exact same instances and
+    verdicts; only the timing fields vary.
     """
     if n < 3:
         raise OrderOutOfRangeError(f"random stress needs n >= 3, got {n}")
@@ -408,8 +407,7 @@ def random_stress(n: int, trials: int, seed: int) -> StressSummary:
     pairs = failures = 0
     first_failure: str | None = None
     build_times: list[float] = []
-    for trial in range(trials):
-        t = random_strong_tournament(n, seed + trial)
+    for trial, t in enumerate(itertools.islice(strong_tournaments(n, seed), trials)):
         checked, failed, first, times = _check_kings(t, trial)
         pairs += checked
         failures += failed

@@ -2,12 +2,14 @@
 
 import io
 import json
+import random
 
 import pytest
 
-from kingchain import export, from_edge_list, parse_text
+from kingchain import export, from_edge_list, kings, parse_text
 from kingchain.cli import main
 
+from brute import brute_strong, near_transitive
 from conftest import T4A_EDGES
 
 
@@ -65,6 +67,22 @@ class TestChain:
     def test_auto_king_picks_lowest(self, capsys, t4a_file):
         assert main(["chain", "--input", t4a_file, "--king", "auto"]) == 0
         assert "king=0" in capsys.readouterr().out
+
+    def test_auto_king_is_lowest_on_random_inputs(self, capsys, monkeypatch):
+        # Near-transitive strong tournaments often have no king at vertex 0.
+        rng = random.Random(3)
+        above_zero = 0
+        for n in range(3, 31):
+            for _ in range(3):
+                t = from_edge_list(n, near_transitive(n, 0.8, rng))
+                while not brute_strong(t):
+                    t = from_edge_list(n, near_transitive(n, 0.8, rng))
+                monkeypatch.setattr("sys.stdin", io.StringIO(export(t, "text")))
+                assert main(["chain", "--input", "-", "--king", "auto"]) == 0
+                lowest = kings(t)[0]
+                assert capsys.readouterr().out.splitlines()[0] == f"n={n} king={lowest}"
+                above_zero += lowest > 0
+        assert above_zero > 0
 
     def test_stdin_input(self, capsys, monkeypatch, three_cycle):
         monkeypatch.setattr("sys.stdin", io.StringIO(export(three_cycle, "text")))

@@ -1,6 +1,7 @@
 """Tests for the brute-force checker and the exhaustive/random harnesses."""
 
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from kingchain import (
     exhaustive_check,
     kings,
     random_strong_tournament,
+    random_tournament,
     verify_chain,
 )
 from kingchain.errors import (
@@ -303,6 +305,21 @@ class TestRandomStress:
         # Timing fields are excluded from equality; verdicts must match.
         assert random_stress(8, trials=10, seed=5) == random_stress(8, trials=10, seed=5)
 
+    def test_trials_check_distinct_consecutive_strong_draws(self, monkeypatch):
+        # Trial i checks the i-th strong draw among random_tournament(6, 1),
+        # random_tournament(6, 2), ...; no draw is checked twice.
+        real = kingchain.oracle._check_kings
+        checked = []
+
+        def record(t, index):
+            checked.append(t.bits)
+            return real(t, index)
+
+        monkeypatch.setattr(kingchain.oracle, "_check_kings", record)
+        random_stress(6, trials=20, seed=1)
+        draws = (random_tournament(6, seed) for seed in itertools.count(1))
+        assert checked == [t.bits for t in itertools.islice(filter(brute_strong, draws), 20)]
+
     def test_text_output(self):
         text = random_stress(6, trials=3, seed=2).to_text()
         assert "failures=0" in text
@@ -316,8 +333,9 @@ class TestRandomStress:
         ],
     )
     def test_injected_failure_text(self, monkeypatch, stage, first_failure):
-        # Every king 1 fails. Trial 0's instance has no king 1, trials 1 and
-        # 2 have one each, and the sweep runs every trial.
+        # Every king 1 fails. Trial 0 (seed 0's draw) has no king 1, trials 1
+        # and 2 (the draws of seeds 3 and 4) have one each, and the sweep runs
+        # every trial.
         inject_failures(monkeypatch, lambda t, king: stage if king == 1 else None)
         summary = random_stress(6, trials=3, seed=0)
         assert summary.first_failure == first_failure
