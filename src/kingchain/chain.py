@@ -150,6 +150,12 @@ def build_ladder(
     return cycles, inserts
 
 
+def _splice(t: Tournament, cycle: tuple[int, ...], z: int) -> tuple[tuple[int, ...], Insertion]:
+    # Splice z into the first edge of the cycle that accepts it.
+    i = splice_slot(t, cycle, z) + 1
+    return cycle[:i] + (z,) + cycle[i:], Insertion(x=cycle[i - 1], y=cycle[i % len(cycle)], z=z)
+
+
 def extend_cycle(
     t: Tournament, ctx: KingContext, cycle: tuple[int, ...]
 ) -> tuple[tuple[int, ...], Insertion]:
@@ -170,17 +176,16 @@ def extend_cycle(
     for v in cycle:
         present |= 1 << v
     missing = ((1 << n) - 1) & ~present
-    z = (missing & -missing).bit_length() - 1
-    i = splice_slot(t, cycle, z)
-    y = cycle[(i + 1) % len(cycle)]
-    return cycle[: i + 1] + (z,) + cycle[i + 1 :], Insertion(x=cycle[i], y=y, z=z)
+    return _splice(t, cycle, (missing & -missing).bit_length() - 1)
 
 
 def build_chain(t: Tournament, k: int) -> CycleChain:
     """Run the whole construction for king k of a strong tournament.
 
     Returns the certificate: cycles C_3..C_n, the insertion linking each
-    cycle to the next, and the intermediate construction data.
+    cycle to the next, and the intermediate construction data. The ladder
+    leaves out exactly the in-set minus the exit head; they are spliced in
+    ascending order, which is what repeated `extend_cycle` calls do.
     """
     ctx = king_context(t, k)
     blocks = condensation(t, ctx.out_set)
@@ -188,10 +193,11 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     spine = spine_path(t, ctx, blocks, exit_edge)
     cycles, inserts = build_ladder(ctx, spine, exit_edge)
     current = cycles[-1]
-    while len(current) < t.n:
-        current, record = extend_cycle(t, ctx, current)
-        cycles.append(current)
-        inserts.append(record)
+    for z in ctx.in_set:
+        if z != exit_edge.head:
+            current, record = _splice(t, current, z)
+            cycles.append(current)
+            inserts.append(record)
     return CycleChain(
         king=k,
         cycles=tuple(cycles),

@@ -1,8 +1,9 @@
-"""Independent brute-force verification of cycle-chain certificates.
+"""Independent verification of cycle-chain certificates.
 
-The certificate checks here are written straight from the definitions and
-never call the construction code or the structural-query helpers; the only
-shared piece is the tournament container itself. A disagreement between
+The certificate checks here are written from the definitions and the
+one-vertex splice induction, and never call the construction code or the
+structural-query helpers; the only shared piece is the tournament container
+itself. A disagreement between
 construction and verification is therefore meaningful.
 
 The two harnesses drive the full pipeline: `exhaustive_check` walks every
@@ -13,6 +14,7 @@ Both report failure counts that are expected to be zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -42,12 +44,12 @@ EXHAUSTIVE_MIN_ORDER = 3
 EXHAUSTIVE_MAX_ORDER = 7
 
 
-def _two_step_misses(
+def _two_step_reach(
     out_masks: tuple[int, ...], king: int, verts: Sequence[int]
 ) -> tuple[int, int]:
-    # Literal king definition: the vertex mask of `verts`, and the members
-    # that are neither the king, nor its out-neighbors, nor beaten by one of
-    # its out-neighbors in `verts`. The king rules `verts` iff none are missed.
+    # Literal king definition: the vertex mask of `verts`, and the mask of
+    # the king, its out-neighbors and everything beaten by one of its
+    # out-neighbors in `verts`. The king rules `verts` iff that covers them.
     km = out_masks[king]
     reached = km | 1 << king
     members = 0
@@ -55,7 +57,7 @@ def _two_step_misses(
         members |= 1 << w
         if km >> w & 1:
             reached |= out_masks[w]
-    return members, members & ~reached
+    return members, reached
 
 
 def brute_is_king_of_induced(t: Tournament, king: int, subset: Iterable[int]) -> bool:
@@ -63,7 +65,8 @@ def brute_is_king_of_induced(t: Tournament, king: int, subset: Iterable[int]) ->
     verts = sorted(set(subset))
     if king not in verts:
         raise KingNotInSubsetError(f"vertex {king} not in subset")
-    return not _two_step_misses(t.out_masks, king, verts)[1]
+    members, reached = _two_step_reach(t.out_masks, king, verts)
+    return not members & ~reached
 
 
 def _is_directed_cycle(out_masks: tuple[int, ...], cyc: Sequence[int]) -> bool:
@@ -80,7 +83,7 @@ def _is_directed_cycle(out_masks: tuple[int, ...], cyc: Sequence[int]) -> bool:
 
 def _brute_kings(t: Tournament) -> list[int]:
     everyone = list(range(t.n))
-    return [v for v in everyone if not _two_step_misses(t.out_masks, v, everyone)[1]]
+    return [v for v in everyone if brute_is_king_of_induced(t, v, everyone)]
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,66 @@ class VerificationReport:
     first_failure: str | None
 
 
+@functools.cache
+def _passed_check(length: int) -> CycleCheck:
+    # Checks are immutable, so the passing one of each length is shared:
+    # building a frozen dataclass per cycle cost as much as the rest of a
+    # chain's verification at n = 200. One entry per length, so the cache
+    # never outgrows the largest order verified.
+    return CycleCheck(length, True, True, True, True)
+
+
+def _check_range(values: Iterable[int], n: int, what: str) -> None:
+    for v in values:
+        if not 0 <= v < n:
+            raise MalformedCertificateError(f"{what} vertex {v} outside order {n}")
+
+
+def _cycle_check(
+    out_masks: tuple[int, ...], king: int, want: int, cyc: Sequence[int]
+) -> tuple[CycleCheck, int, int]:
+    # Literal checks of one cycle, with its vertex mask and the king's reach.
+    _check_range(cyc, len(out_masks), "cycle")
+    members, reached = _two_step_reach(out_masks, king, cyc)
+    contains_king = king in cyc
+    check = CycleCheck(
+        want,
+        _is_directed_cycle(out_masks, cyc),
+        len(cyc) == want,
+        contains_king,
+        contains_king and not members & ~reached,
+    )
+    return check, members, reached
+
+
+def _cycle_fault(check: CycleCheck, king: int, size: int) -> str:
+    want = check.length
+    if not check.is_cycle:
+        return f"C{want}: not a directed cycle of the tournament"
+    if not check.correct_length:
+        return f"C{want}: length {size}, expected {want}"
+    if not check.contains_king:
+        return f"C{want}: king {king} missing"
+    return f"C{want}: {king} is not a king of the induced subtournament"
+
+
+def _insertion_fault(
+    out_masks: tuple[int, ...], prev: Sequence[int], rec: Sequence[int], members: int, grown: int
+) -> str | None:
+    # Literal checks of one record against the vertex masks of its two cycles.
+    x, y, z = rec
+    size = len(prev)
+    if not any(prev[i] == x and prev[(i + 1) % size] == y for i in range(size)):
+        return f"({x}, {y}) not consecutive"
+    if not (out_masks[x] >> z & 1 and out_masks[z] >> y & 1):
+        return f"edges via {z} missing"
+    if members >> z & 1:
+        return f"vertex {z} not fresh"
+    if grown != members | 1 << z:
+        return f"vertex sets do not differ by exactly {{{z}}}"
+    return None
+
+
 def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     """Recheck every certificate clause against the tournament.
 
@@ -121,6 +184,17 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     pair: the recorded edge (x, y) is consecutive in the earlier cycle, the
     edges x -> z and z -> y exist, z is fresh, and the later cycle's vertex
     set is exactly the earlier one's plus z.
+
+    C3 is checked literally. Each later cycle is checked by the paper's
+    induction when the earlier cycle passed: if the later cycle equals the
+    earlier one with a fresh z spliced between x and y, where x -> z -> y,
+    it is a directed cycle one longer holding the king, its vertex set grows
+    by z, and the king still rules it iff z lies in the king's two-step
+    reach; that reach grows by z's out-set when the king beats z. A cycle
+    and record that fail this test, or follow a failed cycle, get the
+    literal checks instead, so every verdict and message is the literal one.
+    A vertex outside the order raises `MalformedCertificateError` naming the
+    first such cycle vertex, or failing that the first such insertion vertex.
     """
     n = t.n
     k = chain.king
@@ -139,68 +213,61 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
             f"{len(cycles)} cycles need {len(cycles) - 1} insertions, "
             f"certificate has {len(records)}"
         )
-    for cyc in cycles:
-        for v in cyc:
-            if not 0 <= v < n:
-                raise MalformedCertificateError(f"cycle vertex {v} outside order {n}")
-    for rec in records:
-        for v in rec:
-            if not 0 <= v < n:
-                raise MalformedCertificateError(f"insertion vertex {v} outside order {n}")
+    # Tuples, so a cycle given as a list splices and compares like one.
+    cycles = tuple(map(tuple, cycles))
+    # A vertex outside the order is malformed, and a cycle vertex is named
+    # before an insertion vertex. The records are bounded here at C level;
+    # a cycle is bounded when it is checked literally, since a spliced one
+    # holds only vertices already bounded.
+    if min(map(min, records), default=0) < 0 or max(map(max, records), default=0) >= n:
+        for cyc in cycles:
+            _check_range(cyc, n, "cycle")
+        for rec in records:
+            _check_range(rec, n, "insertion")
 
     out_masks = t.out_masks
-    first_failure: str | None = None
-    cycle_checks = []
-    vertex_masks = []
-    for j, cyc in enumerate(cycles):
-        want = j + 3
-        size = len(cyc)
-        is_cycle = _is_directed_cycle(out_masks, cyc)
-        correct_length = size == want
-        contains_king = k in cyc
-        members, missed = _two_step_misses(out_masks, k, cyc)
-        vertex_masks.append(members)
-        king_of_induced = contains_king and not missed
-        check = CycleCheck(want, is_cycle, correct_length, contains_king, king_of_induced)
-        cycle_checks.append(check)
-        if first_failure is None and not check.passed:
-            if not is_cycle:
-                first_failure = f"C{want}: not a directed cycle of the tournament"
-            elif not correct_length:
-                first_failure = f"C{want}: length {size}, expected {want}"
-            elif not contains_king:
-                first_failure = f"C{want}: king {k} missing"
-            else:
-                first_failure = f"C{want}: {k} is not a king of the induced subtournament"
-
+    km = out_masks[k]
+    check, members, reached = _cycle_check(out_masks, k, 3, cycles[0])
+    cycle_checks = [check]
     insertion_checks = []
+    prev_ok = check.passed
+    cycle_failure = None if prev_ok else _cycle_fault(check, k, len(cycles[0]))
+    insertion_failure: str | None = None
     for j, rec in enumerate(records):
-        prev = cycles[j]
-        size = len(prev)
-        consecutive = any(
-            prev[i] == rec.x and prev[(i + 1) % size] == rec.y for i in range(size)
-        )
-        edges_exist = bool(out_masks[rec.x] >> rec.z & 1 and out_masks[rec.z] >> rec.y & 1)
-        fresh = not vertex_masks[j] >> rec.z & 1
-        linked = vertex_masks[j + 1] == vertex_masks[j] | 1 << rec.z
-        ok = consecutive and edges_exist and fresh and linked
-        insertion_checks.append(ok)
-        if first_failure is None and not ok:
-            label = f"C{j + 3}->C{j + 4}"
-            if not consecutive:
-                first_failure = f"{label}: ({rec.x}, {rec.y}) not consecutive"
-            elif not edges_exist:
-                first_failure = f"{label}: edges via {rec.z} missing"
-            elif not fresh:
-                first_failure = f"{label}: vertex {rec.z} not fresh"
-            else:
-                first_failure = f"{label}: vertex sets do not differ by exactly {{{rec.z}}}"
+        x, y, z = rec
+        prev, cyc = cycles[j], cycles[j + 1]
+        i = prev.index(x) + 1 if prev_ok and members >> x & 1 else 0
+        if (
+            i
+            and prev[i % len(prev)] == y
+            and out_masks[x] >> z & 1
+            and out_masks[z] >> y & 1
+            and not members >> z & 1
+            and reached >> z & 1
+            and cyc == prev[:i] + (z,) + prev[i:]
+        ):
+            cycle_checks.append(_passed_check(j + 4))
+            insertion_checks.append(True)
+            members |= 1 << z
+            if km >> z & 1:
+                reached |= out_masks[z]
+            continue
+        check, grown, reached = _cycle_check(out_masks, k, j + 4, cyc)
+        cycle_checks.append(check)
+        prev_ok = check.passed
+        if cycle_failure is None and not prev_ok:
+            cycle_failure = _cycle_fault(check, k, len(cyc))
+        fault = _insertion_fault(out_masks, prev, rec, members, grown)
+        insertion_checks.append(fault is None)
+        if insertion_failure is None and fault is not None:
+            insertion_failure = f"C{j + 3}->C{j + 4}: {fault}"
+        members = grown
 
-    passed = first_failure is None
+    first_failure = cycle_failure or insertion_failure
     return VerificationReport(
         cycle_checks=tuple(cycle_checks),
         insertion_checks=tuple(insertion_checks),
-        passed=passed,
+        passed=first_failure is None,
         first_failure=first_failure,
     )
 
@@ -271,15 +338,19 @@ class ExhaustiveSummary:
         return "\n".join(lines) + "\n"
 
 
-def _check_kings(t: Tournament, index: int) -> tuple[int, int, Counterexample | None, list[float]]:
+def _check_kings(
+    t: Tournament, index: int
+) -> tuple[int, int, Counterexample | None, list[float], list[float]]:
     """Build and verify the chain of every king of t, for both sweeps.
 
     Returns the pair and failure counts, the first failing king's
-    counterexample (filed under `index`) and the time of every build.
+    counterexample (filed under `index`), the time of every build and the
+    time of every verification.
     """
     pairs = failures = 0
     first: Counterexample | None = None
     build_times: list[float] = []
+    verify_times: list[float] = []
     for king in _brute_kings(t):
         pairs += 1
         started = time.perf_counter()
@@ -288,8 +359,10 @@ def _check_kings(t: Tournament, index: int) -> tuple[int, int, Counterexample | 
         except TournamentError as exc:
             stage, detail, certificate = "build", f"{type(exc).__name__}: {exc}", None
         else:
-            build_times.append(time.perf_counter() - started)
+            built = time.perf_counter()
+            build_times.append(built - started)
             report = verify_chain(t, chain)
+            verify_times.append(time.perf_counter() - built)
             if report.passed:
                 continue
             stage, detail = "verify", report.first_failure
@@ -297,7 +370,7 @@ def _check_kings(t: Tournament, index: int) -> tuple[int, int, Counterexample | 
         failures += 1
         if first is None:
             first = Counterexample(index, t.n, king, stage, detail, export(t, "text"), certificate)
-    return pairs, failures, first, build_times
+    return pairs, failures, first, build_times, verify_times
 
 
 def _scan_range(args: tuple[int, int, int]) -> tuple[int, int, int, Counterexample | None]:
@@ -310,7 +383,7 @@ def _scan_range(args: tuple[int, int, int]) -> tuple[int, int, int, Counterexamp
     found: Counterexample | None = None
     for t in filter(is_strong, enumerate_all(n, start, stop)):
         strong += 1
-        checked, failed, first, _ = _check_kings(t, t.bits)
+        checked, failed, first, _, _ = _check_kings(t, t.bits)
         pairs += checked
         failures += failed
         found = found or first
@@ -374,6 +447,9 @@ class StressSummary:
     build_seconds_p50: float = field(compare=False, default=0.0)
     build_seconds_p90: float = field(compare=False, default=0.0)
     build_seconds_max: float = field(compare=False, default=0.0)
+    verify_seconds_p50: float = field(compare=False, default=0.0)
+    verify_seconds_p90: float = field(compare=False, default=0.0)
+    verify_seconds_max: float = field(compare=False, default=0.0)
     elapsed_seconds: float = field(compare=False, default=0.0)
 
     def to_text(self) -> str:
@@ -386,6 +462,9 @@ class StressSummary:
             f"build_seconds_p50={self.build_seconds_p50:.6f}",
             f"build_seconds_p90={self.build_seconds_p90:.6f}",
             f"build_seconds_max={self.build_seconds_max:.6f}",
+            f"verify_seconds_p50={self.verify_seconds_p50:.6f}",
+            f"verify_seconds_p90={self.verify_seconds_p90:.6f}",
+            f"verify_seconds_max={self.verify_seconds_max:.6f}",
             f"elapsed_seconds={self.elapsed_seconds:.3f}",
         ]
         if self.first_failure is not None:
@@ -407,19 +486,22 @@ def random_stress(n: int, trials: int, seed: int) -> StressSummary:
     pairs = failures = 0
     first_failure: str | None = None
     build_times: list[float] = []
+    verify_times: list[float] = []
     for trial, t in enumerate(itertools.islice(strong_tournaments(n, seed), trials)):
-        checked, failed, first, times = _check_kings(t, trial)
+        checked, failed, first, builds, verifies = _check_kings(t, trial)
         pairs += checked
         failures += failed
-        build_times += times
+        build_times += builds
+        verify_times += verifies
         if first_failure is None and first is not None:
             first_failure = f"trial {trial} king {first.king}: {first.detail}"
     build_times.sort()
+    verify_times.sort()
 
-    def percentile(q: float) -> float:
-        if not build_times:
+    def percentile(times: list[float], q: float) -> float:
+        if not times:
             return 0.0
-        return build_times[min(len(build_times) - 1, int(q * len(build_times)))]
+        return times[min(len(times) - 1, int(q * len(times)))]
 
     return StressSummary(
         n=n,
@@ -428,8 +510,11 @@ def random_stress(n: int, trials: int, seed: int) -> StressSummary:
         pairs=pairs,
         failures=failures,
         first_failure=first_failure,
-        build_seconds_p50=percentile(0.50),
-        build_seconds_p90=percentile(0.90),
-        build_seconds_max=build_times[-1] if build_times else 0.0,
+        build_seconds_p50=percentile(build_times, 0.50),
+        build_seconds_p90=percentile(build_times, 0.90),
+        build_seconds_max=percentile(build_times, 1.0),
+        verify_seconds_p50=percentile(verify_times, 0.50),
+        verify_seconds_p90=percentile(verify_times, 0.90),
+        verify_seconds_max=percentile(verify_times, 1.0),
         elapsed_seconds=time.perf_counter() - started,
     )

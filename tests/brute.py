@@ -3,13 +3,18 @@ plus a generator of near-transitive inputs, which have many strong blocks.
 
 Everything here works off the exported edge list only, with plain dict/set
 graph traversal, so a bug in the package's bitmask machinery cannot hide
-behind itself. The one exception, `brute_out_masks`, reads the packed bits one
-pair at a time, as the reference for the row-wise unpacking in `Tournament`.
+behind itself. Two exceptions: `brute_out_masks` reads the packed bits one
+pair at a time, as the reference for the row-wise unpacking in `Tournament`,
+and `brute_verify_chain` rechecks every cycle literally, as the reference
+for the oracle's inductive verifier.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+from kingchain.errors import MalformedCertificateError
+from kingchain.oracle import CycleCheck, VerificationReport
 
 
 def brute_out_masks(n: int, bits: int) -> tuple[int, ...]:
@@ -111,3 +116,109 @@ def near_transitive(n: int, p: float, rng) -> list[tuple[int, int]]:
         for i, u in enumerate(order)
         for v in order[i + 1 :]
     ]
+
+
+def _two_step_misses(out_masks, king, verts):
+    km = out_masks[king]
+    reached = km | 1 << king
+    members = 0
+    for w in verts:
+        members |= 1 << w
+        if km >> w & 1:
+            reached |= out_masks[w]
+    return members, members & ~reached
+
+
+def _is_directed_cycle(out_masks, cyc) -> bool:
+    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+        return False
+    prev = cyc[-1]
+    for v in cyc:
+        if not out_masks[prev] >> v & 1:
+            return False
+        prev = v
+    return True
+
+
+def brute_verify_chain(t, chain) -> VerificationReport:
+    """Every certificate clause checked literally on every cycle and record."""
+    n = t.n
+    k = chain.king
+    cycles = chain.cycles
+    records = chain.insertions
+    if n < 3:
+        raise MalformedCertificateError(f"no chain exists for order {n}")
+    if not 0 <= k < n:
+        raise MalformedCertificateError(f"king {k} outside order {n}")
+    if len(cycles) != n - 2:
+        raise MalformedCertificateError(
+            f"expected {n - 2} cycles for order {n}, certificate has {len(cycles)}"
+        )
+    if len(records) != len(cycles) - 1:
+        raise MalformedCertificateError(
+            f"{len(cycles)} cycles need {len(cycles) - 1} insertions, "
+            f"certificate has {len(records)}"
+        )
+    for cyc in cycles:
+        for v in cyc:
+            if not 0 <= v < n:
+                raise MalformedCertificateError(f"cycle vertex {v} outside order {n}")
+    for rec in records:
+        for v in rec:
+            if not 0 <= v < n:
+                raise MalformedCertificateError(f"insertion vertex {v} outside order {n}")
+
+    out_masks = t.out_masks
+    first_failure = None
+    cycle_checks = []
+    vertex_masks = []
+    for j, cyc in enumerate(cycles):
+        want = j + 3
+        size = len(cyc)
+        is_cycle = _is_directed_cycle(out_masks, cyc)
+        correct_length = size == want
+        contains_king = k in cyc
+        members, missed = _two_step_misses(out_masks, k, cyc)
+        vertex_masks.append(members)
+        king_of_induced = contains_king and not missed
+        check = CycleCheck(want, is_cycle, correct_length, contains_king, king_of_induced)
+        cycle_checks.append(check)
+        if first_failure is None and not check.passed:
+            if not is_cycle:
+                first_failure = f"C{want}: not a directed cycle of the tournament"
+            elif not correct_length:
+                first_failure = f"C{want}: length {size}, expected {want}"
+            elif not contains_king:
+                first_failure = f"C{want}: king {k} missing"
+            else:
+                first_failure = f"C{want}: {k} is not a king of the induced subtournament"
+
+    insertion_checks = []
+    for j, rec in enumerate(records):
+        prev = cycles[j]
+        size = len(prev)
+        consecutive = any(
+            prev[i] == rec.x and prev[(i + 1) % size] == rec.y for i in range(size)
+        )
+        edges_exist = bool(out_masks[rec.x] >> rec.z & 1 and out_masks[rec.z] >> rec.y & 1)
+        fresh = not vertex_masks[j] >> rec.z & 1
+        linked = vertex_masks[j + 1] == vertex_masks[j] | 1 << rec.z
+        ok = consecutive and edges_exist and fresh and linked
+        insertion_checks.append(ok)
+        if first_failure is None and not ok:
+            label = f"C{j + 3}->C{j + 4}"
+            if not consecutive:
+                first_failure = f"{label}: ({rec.x}, {rec.y}) not consecutive"
+            elif not edges_exist:
+                first_failure = f"{label}: edges via {rec.z} missing"
+            elif not fresh:
+                first_failure = f"{label}: vertex {rec.z} not fresh"
+            else:
+                first_failure = f"{label}: vertex sets do not differ by exactly {{{rec.z}}}"
+
+    return VerificationReport(
+        cycle_checks=tuple(cycle_checks),
+        insertion_checks=tuple(insertion_checks),
+        passed=first_failure is None,
+        first_failure=first_failure,
+    )

@@ -161,6 +161,36 @@ class TestExtendCycle:
             assert grown[0] == k
             assert t.beats(rec.x, rec.z) and t.beats(rec.z, rec.y)
 
+    def test_repeated_calls_rebuild_build_chain(self):
+        # build_chain splices the in-set minus the exit head in ascending
+        # order, and extend_cycle splices the lowest missing vertex. From the
+        # ladder's last cycle on, both must give the same cycles and records.
+        def pairs():
+            for n in range(3, 7):
+                for t in filter(is_strong, enumerate_all(n)):
+                    yield from ((t, k) for k in kings(t))
+            rng = random.Random(28)
+            for _ in range(300):
+                n = rng.randint(3, 60)
+                t = from_edge_list(n, near_transitive(n, 0.9, rng))
+                if is_strong(t):
+                    yield from ((t, k) for k in kings(t))
+
+        checked = extended = 0
+        for t, k in pairs():
+            chain = build_chain(t, k)
+            d = chain.context.out_degree
+            cycles, inserts = list(chain.cycles[:d]), list(chain.insertions[: d - 1])
+            while len(cycles[-1]) < t.n:
+                cycle, rec = extend_cycle(t, chain.context, cycles[-1])
+                cycles.append(cycle)
+                inserts.append(rec)
+            assert (tuple(cycles), tuple(inserts)) == (chain.cycles, chain.insertions)
+            checked += 1
+            extended += t.n - 2 - d
+        assert checked > 91238
+        assert extended > checked
+
 
 class TestBuildChain:
     def test_three_cycle(self, three_cycle):

@@ -14,9 +14,12 @@ import kingchain.hamilton
 import kingchain.oracle
 from kingchain import (
     Insertion,
+    Tournament,
     brute_is_king_of_induced,
     build_chain,
+    enumerate_all,
     exhaustive_check,
+    is_strong,
     kings,
     random_strong_tournament,
     random_tournament,
@@ -30,7 +33,7 @@ from kingchain.errors import (
 )
 from kingchain.oracle import Counterexample, random_stress
 
-from brute import brute_kings, brute_strong
+from brute import brute_kings, brute_strong, brute_verify_chain
 
 
 def corrupted(chain, **replacements):
@@ -199,6 +202,104 @@ class TestVerifyChain:
                 assert not report.passed
 
 
+def tampered(t, chain, rng):
+    """Seeded single-field corruptions of a valid chain, one of each kind."""
+    cycles, records = chain.cycles, chain.insertions
+    j = rng.randrange(len(cycles))
+    cyc = list(cycles[j])
+    a, b = rng.sample(range(len(cyc)), 2)
+    cyc[a], cyc[b] = cyc[b], cyc[a]
+    r = rng.randrange(1, len(cyc))
+    for kind, cycle in [
+        ("swapped", cyc),
+        ("reversed", cycles[j][::-1]),
+        ("rotated", cycles[j][r:] + cycles[j][:r]),
+        ("substituted", cycles[j][:a] + (rng.randrange(t.n),) + cycles[j][a + 1 :]),
+    ]:
+        yield kind, corrupted(chain, cycles=cycles[:j] + (tuple(cycle),) + cycles[j + 1 :])
+    yield "lists", corrupted(chain, cycles=[list(c) for c in cycles[:j]] + [cyc] + list(cycles[j + 1 :]))
+    # Every vertex of C3 rules it, so the next cycles test the king's reach.
+    yield "other king", corrupted(chain, king=rng.choice(cycles[0][1:]))
+    if records:
+        i = rng.randrange(len(records))
+        x, y, z = records[i]
+        stale = rng.choice(cycles[i])
+        for kind, rec in [("stale z", Insertion(x, y, stale)), ("swapped x/y", Insertion(y, x, z))]:
+            yield kind, corrupted(chain, insertions=records[:i] + (rec,) + records[i + 1 :])
+        # A record and cycle that agree on a splice the tournament may refuse:
+        # any vertex, fresh or not, after any cycle vertex, mostly recorded
+        # with its true successor.
+        prev = cycles[i]
+        slot = rng.randrange(len(prev)) + 1
+        new_z = rng.randrange(t.n)
+        new_y = prev[slot % len(prev)] if rng.random() < 0.7 else rng.choice(prev)
+        yield "respliced", corrupted(
+            chain,
+            cycles=cycles[: i + 1] + (prev[:slot] + (new_z,) + prev[slot:],) + cycles[i + 2 :],
+            insertions=records[:i] + (Insertion(prev[slot - 1], new_y, new_z),) + records[i + 1 :],
+        )
+
+
+def outcome(verify, t, chain):
+    try:
+        return verify(t, chain)
+    except MalformedCertificateError as exc:
+        return f"MalformedCertificateError: {exc}"
+
+
+class TestVerifyChainMatchesLiteral:
+    """The inductive verifier against the literal one in tests/brute.py."""
+
+    def assert_same(self, t, chain, rng):
+        assert verify_chain(t, chain) == brute_verify_chain(t, chain)
+        kinds = set()
+        for kind, bad in tampered(t, chain, rng):
+            assert outcome(verify_chain, t, bad) == outcome(brute_verify_chain, t, bad), kind
+            kinds.add(kind)
+        return kinds
+
+    def test_small_orders(self):
+        # Every king for n <= 5, and 600 random draws at n = 6.
+        rng = random.Random(41)
+        sample = (Tournament(6, rng.getrandbits(15)) for _ in range(600))
+        kinds = set()
+        for t in filter(is_strong, itertools.chain(*map(enumerate_all, (3, 4, 5)), sample)):
+            for k in kings(t):
+                kinds |= self.assert_same(t, build_chain(t, k), rng)
+        assert len(kinds) == 9
+
+    def test_random_orders(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            t = random_strong_tournament(rng.randint(7, 80), rng.randint(0, 10**6))
+            for k in rng.sample(kings(t), 2):
+                self.assert_same(t, build_chain(t, k), rng)
+
+    def test_out_of_range_vertices_named_alike(self, t4a):
+        chain = build_chain(t4a, 1)
+        c3, c4 = chain.cycles
+        rec = chain.insertions[0]
+        for bad in [
+            corrupted(chain, cycles=(c3, (1, 2, 3, -1))),
+            corrupted(chain, cycles=((1, 3, 4), (1, 2, 3, 9))),
+            corrupted(chain, cycles=(c3, (1, 2, 3, 4)), insertions=(rec._replace(z=5),)),
+            corrupted(chain, insertions=(rec._replace(x=-2),)),
+            corrupted(chain, cycles=((), c4)),
+        ]:
+            assert outcome(verify_chain, t4a, bad) == outcome(brute_verify_chain, t4a, bad)
+
+    def test_unspliced_cycle_still_passes(self):
+        # Known gap, documented in README "What the oracle checks": C6 may be
+        # any directed cycle on the right vertex set, not only C5 spliced.
+        t = random_strong_tournament(6, 0)
+        chain = build_chain(t, 0)
+        assert chain.cycles[2:] == ((0, 3, 2, 5, 1), (0, 3, 2, 4, 5, 1))
+        assert chain.insertions[2] == Insertion(2, 5, 4)
+        bad = corrupted(chain, cycles=chain.cycles[:3] + ((0, 2, 4, 3, 5, 1),))
+        assert verify_chain(t, bad) == brute_verify_chain(t, bad)
+        assert verify_chain(t, bad).passed
+
+
 class TestOracleIndependence:
     def test_verification_never_calls_construction_code(self, t4a, monkeypatch):
         chain = build_chain(t4a, 1)
@@ -323,7 +424,14 @@ class TestRandomStress:
     def test_text_output(self):
         text = random_stress(6, trials=3, seed=2).to_text()
         assert "failures=0" in text
-        assert "build_seconds_p50=" in text
+        lines = text.splitlines()
+        keys = [line.split("=")[0] for line in lines]
+        stages = [f"{stage}_seconds_{q}" for stage in ("build", "verify") for q in ("p50", "p90", "max")]
+        assert keys[keys.index("failures") + 1 : keys.index("elapsed_seconds")] == stages
+        values = dict(line.split("=") for line in lines)
+        for stage in ("build", "verify"):
+            p50, p90, top = (float(values[f"{stage}_seconds_{q}"]) for q in ("p50", "p90", "max"))
+            assert 0 < p50 <= p90 <= top
 
     @pytest.mark.parametrize(
         "stage, first_failure",
