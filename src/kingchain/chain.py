@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 from .analysis import KingContext, condensation, king_context
-from .core import Tournament, from_edge_list, mask_to_vertices
+from .core import Tournament, edge_rows, from_edge_list, mask_to_vertices
 from .errors import (
     CycleAlreadySpanningError,
     MalformedCertificateError,
@@ -226,9 +226,47 @@ def certificate_json(t: Tournament, chain: CycleChain) -> dict[str, Any]:
     }
 
 
+# One insertion record at nesting depth 2 of the certificate, keys in sorted order.
+_RECORD = '{\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
+
+
+def _json_array(items: Sequence[str], depth: int) -> str:
+    """Rendered items as a JSON array at nesting depth `depth`, laid out as indent=2."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _ints(values: Sequence[int], depth: int) -> str:
+    return _json_array([*map(str, values)], depth)
+
+
 def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
-    """Serialize deterministically; identical chains give identical bytes."""
-    return json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
+    """Serialize deterministically; identical chains give identical bytes.
+
+    For a chain of integers, as `build_chain` and `loads_certificate` give,
+    the text is `json.dumps(certificate_json(t, chain), indent=2,
+    sort_keys=True) + "\n"`, byte for byte. It is written here because with
+    an indent, json runs its pure-Python encoder, one call per value.
+    """
+    records = chain.insertions
+    insertions = _json_array([_RECORD] * len(records), 1) % tuple(itertools.chain(*records))
+    edges = edge_rows(t, "[\n      %d,\n      ", "%d\n    ]", ",\n    ")
+    fields = {
+        "n": str(t.n),
+        "king": str(chain.king),
+        "A": _ints(chain.context.out_set, 1),
+        "B": _ints(chain.context.in_set, 1),
+        "reid_blocks": _json_array([_ints(block, 2) for block in chain.blocks], 1),
+        "a_star": str(chain.exit_edge.tail),
+        "b_star": str(chain.exit_edge.head),
+        "spine": _ints(chain.spine, 1),
+        "cycles": _json_array([_ints(cycle, 2) for cycle in chain.cycles], 1),
+        "insertions": insertions,
+        "tournament": _json_array(edges, 1),
+    }
+    return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}\n"
 
 
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:

@@ -112,7 +112,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(f"exit_edge={built.exit_edge.tail}->{built.exit_edge.head}")
     print(f"spine={list(built.spine)}")
     for cycle in built.cycles:
-        print(f"C{len(cycle)}: {' '.join(str(v) for v in cycle)}")
+        print(f"C{len(cycle)}: {' '.join(map(str, cycle))}")
     for j, rec in enumerate(built.insertions):
         print(f"C{j + 3}->C{j + 4}: insert {rec.z} between {rec.x} and {rec.y}")
     return 0

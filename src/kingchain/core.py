@@ -32,6 +32,9 @@ ENUMERATION_LIMIT = 8
 # A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
 _FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
 
+# A binary digit as an itertools.compress selector: the byte 0 is false.
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
 # int() also reads "+", "_" and non-ASCII digits; a token may hold only ASCII
 # digits and "-", and int() rejects a misplaced "-".
 _NON_DECIMAL = re.compile(r"[^\s0-9-]")
@@ -193,6 +196,24 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[T
         yield Tournament(n, bits)
 
 
+def edge_rows(t: Tournament, head: str, tail: str, sep: str) -> list[str]:
+    """Every edge (u, v) as text, ascending by (u, then v), one string per row.
+
+    Edge (u, v) reads `head % u + tail % v`. Row u joins its edges with
+    `sep` and is left out when u beats nobody, so joining the rows with
+    `sep` again lists every edge. Row u's binary digits, lowest first,
+    select the preformatted tails; nothing is formatted per edge.
+    """
+    tails = [tail % v for v in range(t.n)]
+    rows = []
+    for u, row in enumerate(t.out_masks):
+        if row:
+            lead = head % u
+            selectors = bin(row)[:1:-1].encode().translate(_DIGIT_SELECTORS)
+            rows.append(lead + (sep + lead).join(itertools.compress(tails, selectors)))
+    return rows
+
+
 def export(t: Tournament, format: str = "text") -> str:
     """Serialize a tournament.
 
@@ -200,14 +221,10 @@ def export(t: Tournament, format: str = "text") -> str:
     dot:  a digraph with one edge statement per arc.
     """
     if format == "text":
-        lines = [str(t.n)]
-        lines.extend(f"{u} {v}" for u, v in t.edges())
-        return "\n".join(lines) + "\n"
+        return "\n".join([str(t.n), *edge_rows(t, "%d ", "%d", "\n")]) + "\n"
     if format == "dot":
-        lines = ["digraph tournament {"]
-        lines.extend(f"  {u} -> {v};" for u, v in t.edges())
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        arcs = edge_rows(t, "  %d -> ", "%d;", "\n")
+        return "\n".join(["digraph tournament {", *arcs, "}"]) + "\n"
     raise ValueError(f"unknown export format {format!r}; expected 'text' or 'dot'")
 
 

@@ -286,6 +286,27 @@ class TestCertificate:
             t_back, chain_back = loads_certificate(dumps_certificate(t, chain))
             assert (t_back, chain_back) == (t, chain)
 
+    def test_dumps_matches_stdlib_layout(self):
+        # The writer's reference: the stdlib's indent=2, sorted-key rendering
+        # of certificate_json. Covers n=3 (no insertions), near-transitive
+        # out-sets with several blocks, and random orders up to 200.
+        rng = random.Random(29)
+        cases = [t for t in enumerate_all(3) if is_strong(t)]
+        while len(cases) < 60:
+            n = rng.randint(4, 30)
+            t = from_edge_list(n, near_transitive(n, 0.85, rng))
+            if is_strong(t):
+                cases.append(t)
+        cases += [random_strong_tournament(n, rng.randint(0, 10**6)) for n in (4, 7, 16, 45, 120, 200)]
+        multi_block = 0
+        for t in cases:
+            for k in kings(t)[:3]:  # a strong 3-vertex tournament has 3 kings
+                chain = build_chain(t, k)
+                multi_block += len(chain.blocks) > 1
+                reference = json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
+                assert dumps_certificate(t, chain) == reference
+        assert multi_block > 0
+
     def test_loads_rejects_garbage(self, t4a):
         with pytest.raises(MalformedCertificateError):
             loads_certificate("not json")

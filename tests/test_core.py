@@ -177,6 +177,16 @@ class TestExport:
         assert "0 -> 1;" in dot and "2 -> 0;" in dot
         assert dot.rstrip().endswith("}")
 
+    def test_matches_per_edge_formula(self):
+        for n in (1, 3, 6, 50):
+            for seed in range(5):
+                t = random_tournament(n, seed)
+                edges = list(t.edges())
+                text = "\n".join([str(n)] + [f"{u} {v}" for u, v in edges]) + "\n"
+                dot = "\n".join(["digraph tournament {"] + [f"  {u} -> {v};" for u, v in edges] + ["}"]) + "\n"
+                assert export(t, "text") == text
+                assert export(t, "dot") == dot
+
     def test_unknown_format(self, three_cycle):
         for fmt in ("yaml", "json"):
             with pytest.raises(ValueError):

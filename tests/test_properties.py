@@ -1,5 +1,6 @@
 """Property tests: every tournament text and every certificate either loads or
-ends in a domain error, never in a traceback or an unbounded allocation.
+ends in a domain error, never in a traceback or an unbounded allocation; and
+the certificate writer matches the stdlib's rendering byte for byte.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed and no example
 database, so every run replays the same cases.
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kingchain import (
     build_chain,
     certificate_json,
+    dumps_certificate,
     export,
     from_edge_list,
     kings,
@@ -82,14 +84,20 @@ def _paths(obj, prefix=()):
 
 
 @st.composite
-def mutated_certificates(draw):
-    """The t4a certificate or one of order <= 8, with one field edited or the text cut."""
+def chains(draw):
+    """t4a or a strong tournament of order <= 8, with the chain of one of its kings."""
     n = draw(st.integers(3, 8))
     if n == 4 and draw(st.booleans()):
         t = from_edge_list(4, T4A_EDGES)
     else:
         t = random_strong_tournament(n, draw(st.integers(0, 10**6)))
-    cert = certificate_json(t, build_chain(t, draw(st.sampled_from(kings(t)))))
+    return t, build_chain(t, draw(st.sampled_from(kings(t))))
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A certificate from `chains`, with one field edited or the text cut."""
+    cert = certificate_json(*draw(chains()))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(cert))
         if not paths:
@@ -132,6 +140,13 @@ def test_parse_text_mutated(text):
 @given(st.text(max_size=40))
 def test_parse_text_arbitrary(text):
     _parse_or_domain_error(text)
+
+
+@PROPERTY
+@given(chains())
+def test_dumps_certificate_is_stdlib_layout(t_and_chain):
+    reference = json.dumps(certificate_json(*t_and_chain), indent=2, sort_keys=True) + "\n"
+    assert dumps_certificate(*t_and_chain) == reference
 
 
 @PROPERTY
