@@ -272,8 +272,7 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     """Inverse of dumps_certificate; round-trips losslessly.
 
-    The order, the king, every cycle vertex, every insertion field and every
-    tournament endpoint must be a JSON integer.
+    The order and every vertex, in every field, must be a JSON integer.
     """
     try:
         obj = json.loads(text)
@@ -286,7 +285,10 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
         records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
         # JSON booleans decode to bool, a subclass of int; neither they nor
         # floats or strings may stand for an order or a vertex.
-        values = itertools.chain((obj["n"], obj["king"]), *edges, *cycles, *records)
+        values = itertools.chain(
+            (obj["n"], obj["king"], obj["a_star"], obj["b_star"]), obj["A"], obj["B"],
+            obj["spine"], *obj["reid_blocks"], *edges, *cycles, *records,
+        )
         if not set(map(type, values)) <= {int}:
             raise MalformedCertificateError("certificate orders and vertices must be integers")
         t = from_edge_list(obj["n"], [(u, v) for u, v in edges])

@@ -329,6 +329,13 @@ class TestCertificate:
             lambda c: c["cycles"][1].__setitem__(0, True),
             lambda c: c["insertions"][0].update(z=2.0),
             lambda c: c["tournament"][0].__setitem__(1, "1"),
+            # The construction fields are written back, so they are typed too.
+            lambda c: c.update(A=[True]),
+            lambda c: c.update(B="ab"),
+            lambda c: c.update(spine=["x"]),
+            lambda c: c.update(reid_blocks=[["x"]]),
+            lambda c: c.update(a_star=1.5),
+            lambda c: c.update(b_star=None),
         ):
             bad = json.loads(json.dumps(good))
             edit(bad)

@@ -146,6 +146,14 @@ class TestVerifyChain:
         check = report.cycle_checks[0]
         assert not check.contains_king
         assert not check.king_of_induced
+        # The king spliced in as z: every record holds, and C3 still lacks it.
+        t = Tournament(4, 4)
+        bad = corrupted(
+            build_chain(t, 2), cycles=((0, 3, 1), (0, 3, 2, 1)), insertions=(Insertion(3, 1, 2),)
+        )
+        report = verify_chain(t, bad)
+        assert report == brute_verify_chain(t, bad)
+        assert report.first_failure == "C3: king 2 missing"
 
     def test_malformed_wrong_cycle_count(self, t4a):
         chain = build_chain(t4a, 1)
@@ -279,14 +287,44 @@ class TestVerifyChainMatchesLiteral:
         chain = build_chain(t4a, 1)
         c3, c4 = chain.cycles
         rec = chain.insertions[0]
-        for bad in [
-            corrupted(chain, cycles=(c3, (1, 2, 3, -1))),
-            corrupted(chain, cycles=((1, 3, 4), (1, 2, 3, 9))),
-            corrupted(chain, cycles=(c3, (1, 2, 3, 4)), insertions=(rec._replace(z=5),)),
-            corrupted(chain, insertions=(rec._replace(x=-2),)),
-            corrupted(chain, cycles=((), c4)),
-        ]:
-            assert outcome(verify_chain, t4a, bad) == outcome(brute_verify_chain, t4a, bad)
+        cases = [
+            (t4a, corrupted(chain, cycles=(c3, (1, 2, 3, -1)))),
+            (t4a, corrupted(chain, cycles=((1, 3, 4), (1, 2, 3, 9)))),
+            (t4a, corrupted(chain, cycles=(c3, (1, 2, 3, 4)), insertions=(rec._replace(z=5),))),
+            (t4a, corrupted(chain, insertions=(rec._replace(x=-2),))),
+            (t4a, corrupted(chain, cycles=((), c4))),
+        ]
+        # At order 12, an offender in C3, the last cycle or the last record,
+        # alone or after a failing C5.
+        t = random_strong_tournament(12, 3)
+        chain = build_chain(t, kings(t)[0])
+        cycles, records = chain.cycles, chain.insertions
+        reversed_c5 = cycles[:2] + (cycles[2][::-1],) + cycles[3:]
+        last = cycles[-1][:-1] + (12,)
+        stray_z = records[:-1] + (records[-1]._replace(z=-1),)
+        cases += [
+            (t, corrupted(chain, cycles=(cycles[0][:2] + (-1,),) + cycles[1:])),
+            (t, corrupted(chain, cycles=cycles[:-1] + (last,))),
+            (t, corrupted(chain, cycles=reversed_c5[:-1] + (last,))),
+            (t, corrupted(chain, cycles=reversed_c5[:-1] + (last,), insertions=stray_z)),
+            (t, corrupted(chain, cycles=reversed_c5, insertions=stray_z)),
+        ]
+        for t, bad in cases:
+            assert outcome(verify_chain, t, bad) == outcome(brute_verify_chain, t, bad)
+
+    def test_valid_chains_pass_by_induction_alone(self, monkeypatch):
+        # The literal checks only explain a failure: a valid chain never
+        # reaches them, however its king's reach grows.
+        def boom(*args):
+            raise AssertionError("a valid chain was checked literally")
+
+        monkeypatch.setattr(kingchain.oracle, "_insertion_fault", boom)
+        rng = random.Random(43)
+        draws = [(rng.randint(6, 60), rng.randint(0, 10**6)) for _ in range(20)]
+        sample = itertools.starmap(random_strong_tournament, draws)
+        for t in filter(is_strong, itertools.chain(enumerate_all(4), enumerate_all(5), sample)):
+            for k in kings(t):
+                assert verify_chain(t, build_chain(t, k)).passed
 
     def test_unspliced_cycle_still_passes(self):
         # Known gap, documented in README "What the oracle checks": C6 may be

@@ -156,6 +156,8 @@ def test_loads_certificate_mutated(text):
         t, chain = loads_certificate(text)
     except (TournamentError, ValueError):
         return
+    # Whatever loads is written back as JSON.
+    json.loads(dumps_certificate(t, chain))
     try:
         report = verify_chain(t, chain)
     except MalformedCertificateError:
