@@ -19,7 +19,6 @@ from .chain import (
     Insertion,
     build_chain,
     build_ladder,
-    certificate_json,
     dumps_certificate,
     extend_cycle,
     find_exit_edge,
@@ -58,7 +57,6 @@ __all__ = [
     "brute_is_king_of_induced",
     "build_chain",
     "build_ladder",
-    "certificate_json",
     "condensation",
     "dumps_certificate",
     "enumerate_all",

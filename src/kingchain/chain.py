@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import KingContext, condensation, king_context
 from .core import Tournament, edge_rows, from_edge_list, mask_to_vertices
@@ -209,23 +209,6 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     )
 
 
-def certificate_json(t: Tournament, chain: CycleChain) -> dict[str, Any]:
-    """Certificate as a JSON-ready dict; the contract consumed by verification."""
-    return {
-        "n": t.n,
-        "king": chain.king,
-        "A": list(chain.context.out_set),
-        "B": list(chain.context.in_set),
-        "reid_blocks": [list(block) for block in chain.blocks],
-        "a_star": chain.exit_edge.tail,
-        "b_star": chain.exit_edge.head,
-        "spine": list(chain.spine),
-        "cycles": [list(cycle) for cycle in chain.cycles],
-        "insertions": [{"x": r.x, "y": r.y, "z": r.z} for r in chain.insertions],
-        "tournament": [[u, v] for u, v in t.edges()],
-    }
-
-
 # One insertion record at nesting depth 2 of the certificate, keys in sorted order.
 _RECORD = '{\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
 
@@ -246,9 +229,10 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
     """Serialize deterministically; identical chains give identical bytes.
 
     For a chain of integers, as `build_chain` and `loads_certificate` give,
-    the text is `json.dumps(certificate_json(t, chain), indent=2,
-    sort_keys=True) + "\n"`, byte for byte. It is written here because with
-    an indent, json runs its pure-Python encoder, one call per value.
+    the text is the stdlib's `json.dumps(..., indent=2, sort_keys=True) +
+    "\n"` of the same fields, with the edges as [u, v] pairs ascending by
+    (u, then v), byte for byte. It is written here because with an indent,
+    json runs its pure-Python encoder, one call per value.
     """
     records = chain.insertions
     insertions = _json_array([_RECORD] * len(records), 1) % tuple(itertools.chain(*records))
@@ -270,9 +254,11 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
 
 
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
-    """Inverse of dumps_certificate; round-trips losslessly.
+    """Inverse of dumps_certificate; a written certificate round-trips byte for byte.
 
-    The order and every vertex, in every field, must be a JSON integer.
+    Every array the writer writes must be a JSON array, every insertion
+    record an object, and the order and every vertex a JSON integer. Other
+    keys load and are dropped on write.
     """
     try:
         obj = json.loads(text)
@@ -281,16 +267,21 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
     try:
-        edges, cycles = obj["tournament"], obj["cycles"]
+        edges, cycles, blocks = obj["tournament"], obj["cycles"], obj["reid_blocks"]
         records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
-        # JSON booleans decode to bool, a subclass of int; neither they nor
-        # floats or strings may stand for an order or a vertex.
+        # An object iterates over its keys, so an empty one would load as an
+        # empty array. JSON booleans decode to bool, a subclass of int;
+        # neither they nor floats or strings may stand for an order or a vertex.
+        arrays = (obj["A"], obj["B"], obj["spine"], obj["insertions"], blocks, cycles, edges)
         values = itertools.chain(
             (obj["n"], obj["king"], obj["a_star"], obj["b_star"]), obj["A"], obj["B"],
-            obj["spine"], *obj["reid_blocks"], *edges, *cycles, *records,
+            obj["spine"], *blocks, *edges, *cycles, *records,
         )
-        if not set(map(type, values)) <= {int}:
-            raise MalformedCertificateError("certificate orders and vertices must be integers")
+        lists = set(map(type, itertools.chain(arrays, blocks, cycles, edges)))
+        if not lists <= {list} or not set(map(type, values)) <= {int}:
+            raise MalformedCertificateError(
+                "certificate orders and vertices must be integers, in JSON arrays"
+            )
         t = from_edge_list(obj["n"], [(u, v) for u, v in edges])
         chain = CycleChain(
             king=obj["king"],
@@ -301,7 +292,7 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
                 out_set=tuple(obj["A"]),
                 in_set=tuple(obj["B"]),
             ),
-            blocks=tuple(tuple(b) for b in obj["reid_blocks"]),
+            blocks=tuple(tuple(b) for b in blocks),
             exit_edge=ExitEdge(tail=obj["a_star"], head=obj["b_star"]),
             spine=tuple(obj["spine"]),
         )

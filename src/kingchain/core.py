@@ -111,12 +111,6 @@ class Tournament:
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Oriented edges (u, v), one per pair, ascending by (u, then v)."""
-        for u in range(self.n):
-            for v in mask_to_vertices(self.out_masks[u]):
-                yield u, v
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
     """Build a tournament from oriented edges (u, v) meaning u -> v.

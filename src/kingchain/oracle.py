@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .analysis import is_strong
-from .chain import CycleChain, build_chain, certificate_json
+from .chain import CycleChain, build_chain, dumps_certificate
 from .core import (
     Tournament,
     enumerate_all,
@@ -266,28 +266,15 @@ class Counterexample:
     certificate: dict[str, Any] | None
 
     def dump(self, directory: str | Path) -> tuple[Path, Path]:
-        """Write the tournament text and a JSON bundle; returns both paths."""
+        """Write the tournament text, and every other field as a JSON bundle; returns both paths."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         stem = f"counterexample_n{self.n}_i{self.index}_k{self.king}"
         text_path = directory / f"{stem}.txt"
         json_path = directory / f"{stem}.json"
         text_path.write_text(self.tournament_text)
-        json_path.write_text(
-            json.dumps(
-                {
-                    "index": self.index,
-                    "n": self.n,
-                    "king": self.king,
-                    "stage": self.stage,
-                    "detail": self.detail,
-                    "certificate": self.certificate,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        bundle = {key: value for key, value in vars(self).items() if key != "tournament_text"}
+        json_path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
         return text_path, json_path
 
 
@@ -347,7 +334,7 @@ def _check_kings(
             if report.passed:
                 continue
             stage, detail = "verify", report.first_failure
-            certificate = certificate_json(t, chain)
+            certificate = json.loads(dumps_certificate(t, chain))
         failures += 1
         if first is None:
             first = Counterexample(index, t.n, king, stage, detail, export(t, "text"), certificate)

@@ -1,12 +1,14 @@
 """Tiny set-based reference implementations used as independent test oracles,
 plus a generator of near-transitive inputs, which have many strong blocks.
 
-Everything here works off the exported edge list only, with plain dict/set
-graph traversal, so a bug in the package's bitmask machinery cannot hide
-behind itself. Two exceptions: `brute_out_masks` reads the packed bits one
-pair at a time, as the reference for the row-wise unpacking in `Tournament`,
-and `brute_verify_chain` rechecks every cycle literally, as the reference
-for the oracle's inductive verifier.
+The graph references work off `edges(t)`, which reads the packed bits one
+pair at a time through `brute_out_masks` and never the package's unpacked
+`out_masks`, with plain dict/set graph traversal, so a bug in the package's
+bitmask machinery cannot hide behind itself. `brute_out_masks` is also the
+reference for the row-wise unpacking in `Tournament`, and `certificate_json`
+for the certificate writer. The exception is `brute_verify_chain`, which
+rechecks every cycle literally on `t.out_masks`, as the reference for the
+oracle's inductive verifier.
 """
 
 from __future__ import annotations
@@ -31,9 +33,33 @@ def brute_out_masks(n: int, bits: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def edges(t) -> list[tuple[int, int]]:
+    """Oriented edges (u, v), one per pair, ascending by (u, then v)."""
+    masks = brute_out_masks(t.n, t.bits)
+    return [(u, v) for u in range(t.n) for v in range(t.n) if masks[u] >> v & 1]
+
+
+def certificate_json(t, chain) -> dict:
+    """Certificate fields as a JSON-ready dict; `dumps_certificate` must write
+    `json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\\n"`."""
+    return {
+        "n": t.n,
+        "king": chain.king,
+        "A": list(chain.context.out_set),
+        "B": list(chain.context.in_set),
+        "reid_blocks": [list(block) for block in chain.blocks],
+        "a_star": chain.exit_edge.tail,
+        "b_star": chain.exit_edge.head,
+        "spine": list(chain.spine),
+        "cycles": [list(cycle) for cycle in chain.cycles],
+        "insertions": [{"x": r.x, "y": r.y, "z": r.z} for r in chain.insertions],
+        "tournament": [[u, v] for u, v in edges(t)],
+    }
+
+
 def adjacency(t) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(t.n)}
-    for u, v in t.edges():
+    for u, v in edges(t):
         adj[u].add(v)
     return adj
 

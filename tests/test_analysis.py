@@ -65,6 +65,10 @@ class TestCondensation:
         with pytest.raises(EmptySubsetError):
             condensation(t4a, [])
 
+    def test_subset_out_of_range(self, three_cycle):
+        with pytest.raises(VertexOutOfRangeError):
+            condensation(three_cycle, [0, 5])
+
     def test_blocks_match_brute_components(self):
         # Near-transitive inputs have many blocks, so block order matters.
         rng = random.Random(4)

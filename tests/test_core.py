@@ -26,7 +26,7 @@ from kingchain.errors import (
     VertexOutOfRangeError,
 )
 
-from brute import brute_out_masks, brute_strong
+from brute import brute_out_masks, brute_strong, edges
 
 # sha256 of random_strong_tournament(n, seed).bits for n in {1, 3..12, 50} and
 # seed in 0..99, frozen from the code before the strong draws came from one
@@ -56,7 +56,7 @@ class TestFromEdgeList:
 
     def test_transitive_triangle(self):
         t = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-        assert list(t.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert edges(t) == [(0, 1), (0, 2), (1, 2)]
 
     def test_missing_pair(self):
         with pytest.raises(MissingPairError, match=r"\{0, 2\}"):
@@ -102,6 +102,10 @@ class TestRandomTournament:
     def test_seed_is_free(self):
         # Different seeds are allowed to collide; only determinism is promised.
         random_tournament(5, 8)
+
+    def test_order_below_one(self):
+        with pytest.raises(ValueError):
+            random_tournament(0, 1)
 
 
 class TestRandomStrongTournament:
@@ -181,9 +185,9 @@ class TestExport:
         for n in (1, 3, 6, 50):
             for seed in range(5):
                 t = random_tournament(n, seed)
-                edges = list(t.edges())
-                text = "\n".join([str(n)] + [f"{u} {v}" for u, v in edges]) + "\n"
-                dot = "\n".join(["digraph tournament {"] + [f"  {u} -> {v};" for u, v in edges] + ["}"]) + "\n"
+                arcs = edges(t)
+                text = "\n".join([str(n)] + [f"{u} {v}" for u, v in arcs]) + "\n"
+                dot = "\n".join(["digraph tournament {"] + [f"  {u} -> {v};" for u, v in arcs] + ["}"]) + "\n"
                 assert export(t, "text") == text
                 assert export(t, "dot") == dot
 
@@ -201,6 +205,9 @@ class TestExport:
             parse_text("3\n0 1\n1 2\n2\n")
         with pytest.raises(MissingPairError):
             parse_text("3\n0 1\n1 2\n")
+        # Only ASCII digits and "-", but not an integer.
+        with pytest.raises(ValueError, match="non-integer token"):
+            parse_text("3\n0 1\n1 2\n2 0-1\n")
         # int() reads all of these; the format allows only ASCII decimal tokens.
         for token in ("0_0", "1_2", "+0", "\u0660"):
             with pytest.raises(ValueError, match="non-decimal"):

@@ -10,6 +10,7 @@ import pytest
 
 import kingchain.analysis
 import kingchain.chain
+import kingchain.cli
 import kingchain.hamilton
 import kingchain.oracle
 from kingchain import (
@@ -17,10 +18,13 @@ from kingchain import (
     Tournament,
     brute_is_king_of_induced,
     build_chain,
+    dumps_certificate,
     enumerate_all,
     exhaustive_check,
+    export,
     is_strong,
     kings,
+    loads_certificate,
     random_strong_tournament,
     random_tournament,
     verify_chain,
@@ -389,6 +393,10 @@ class TestExhaustiveCheck:
         with pytest.raises(OrderOutOfRangeError):
             exhaustive_check(8)
 
+    def test_jobs_below_one(self):
+        with pytest.raises(ValueError):
+            exhaustive_check(4, jobs=0)
+
     def test_summary_text(self):
         text = exhaustive_check(3).to_text()
         assert "tournaments=8" in text
@@ -444,6 +452,10 @@ class TestRandomStress:
         # Timing fields are excluded from equality; verdicts must match.
         assert random_stress(8, trials=10, seed=5) == random_stress(8, trials=10, seed=5)
 
+    def test_order_below_three(self):
+        with pytest.raises(OrderOutOfRangeError):
+            random_stress(2, trials=1, seed=0)
+
     def test_trials_check_distinct_consecutive_strong_draws(self, monkeypatch):
         # Trial i checks the i-th strong draw among random_tournament(6, 1),
         # random_tournament(6, 2), ...; no draw is checked twice.
@@ -486,6 +498,17 @@ class TestRandomStress:
         summary = random_stress(6, trials=3, seed=0)
         assert summary.first_failure == first_failure
         assert (summary.pairs, summary.failures) == (14, 2)
+        assert summary.to_text().endswith(f"\nfirst_failure={first_failure}\n")
+
+    def test_every_build_failing_gives_zero_timings(self, monkeypatch):
+        # No build finishes, so no time is recorded, and every percentile is 0.
+        inject_failures(monkeypatch, lambda t, king: "build")
+        summary = random_stress(6, trials=2, seed=0)
+        assert (summary.pairs, summary.failures) == (9, 9)
+        values = dict(line.split("=", 1) for line in summary.to_text().splitlines())
+        for stage in ("build", "verify"):
+            for q in ("p50", "p90", "max"):
+                assert values[f"{stage}_seconds_{q}"] == "0.000000"
 
 
 class TestCounterexampleDump:
@@ -505,3 +528,28 @@ class TestCounterexampleDump:
         assert bundle["index"] == 41
         assert bundle["stage"] == "verify"
         assert bundle["certificate"] == {"n": 4}
+
+    def test_cli_exhaustive_files_the_failing_certificate(self, monkeypatch, tmp_path, capsys):
+        # Reverse C3 for the lowest king of the lowest-index strong
+        # tournament of order 4: the sweep reports that pair, and its bundle
+        # holds the certificate of the chain that failed, as the writer writes it.
+        t = next(t for t in enumerate_all(4) if brute_strong(t))
+        king = brute_kings(t)[0]
+        inject_failures(monkeypatch, lambda u, k: "verify" if (u, k) == (t, king) else None)
+        monkeypatch.chdir(tmp_path)
+        assert kingchain.cli.main(["exhaustive", "--n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert "failures=1" in out.splitlines()
+        assert f"counterexample_index={t.bits}" in out.splitlines()
+        stem = f"counterexample_n4_i{t.bits}_k{king}"
+        assert err == f"counterexample written to {stem}.txt and {stem}.json\n"
+        assert (tmp_path / f"{stem}.txt").read_text() == export(t, "text")
+        bundle = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert (bundle["stage"], bundle["king"]) == ("verify", king)
+        chain = build_chain(t, king)
+        failed = corrupted(chain, cycles=(chain.cycles[0][::-1],) + chain.cycles[1:])
+        text = json.dumps(bundle["certificate"], indent=2, sort_keys=True) + "\n"
+        assert text == dumps_certificate(t, failed)
+        report = verify_chain(*loads_certificate(text))
+        assert not report.passed
+        assert report.first_failure == bundle["detail"]

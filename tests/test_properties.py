@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from kingchain import (
     build_chain,
-    certificate_json,
     dumps_certificate,
     export,
     from_edge_list,
@@ -25,6 +24,7 @@ from kingchain import (
 )
 from kingchain.errors import MalformedCertificateError, TournamentError
 
+from brute import certificate_json
 from conftest import T4A_EDGES
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
