@@ -5,17 +5,26 @@ The graph references work off `edges(t)`, which reads the packed bits one
 pair at a time through `brute_out_masks` and never the package's unpacked
 `out_masks`, with plain dict/set graph traversal, so a bug in the package's
 bitmask machinery cannot hide behind itself. `brute_out_masks` is also the
-reference for the row-wise unpacking in `Tournament`, and `certificate_json`
-for the certificate writer. The exception is `brute_verify_chain`, which
+reference for the unpacking in `Tournament`, `brute_read` for the readers
+`from_edge_list` and `parse_text`, and `certificate_json` for the
+certificate writer. The exception is `brute_verify_chain`, which
 rechecks every cycle literally on `t.out_masks`, as the reference for the
 oracle's inductive verifier.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
-from kingchain.errors import MalformedCertificateError
+from kingchain.core import Tournament
+from kingchain.errors import (
+    DuplicatePairError,
+    MalformedCertificateError,
+    MissingPairError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+)
 from kingchain.oracle import CycleCheck, VerificationReport
 
 
@@ -31,6 +40,33 @@ def brute_out_masks(n: int, bits: int) -> tuple[int, ...]:
                 masks[v] |= 1 << u
             p += 1
     return tuple(masks)
+
+
+def brute_read(n: int, edges) -> Tournament:
+    """Tournament from oriented edges (u, v), read one pair at a time into a dict.
+
+    The reference for `from_edge_list` and `parse_text`: the first faulty
+    edge in input order raises, and then the first pair never oriented in
+    lexicographic order, each with the package's error and message.
+    """
+    if n < 1:
+        raise ValueError(f"tournament order must be >= 1, got {n}")
+    lower_first: dict[tuple[int, int], bool] = {}
+    for u, v in edges:
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside order {n}")
+        pair = (min(u, v), max(u, v))
+        if pair in lower_first:
+            raise DuplicatePairError(f"pair {{{pair[0]}, {pair[1]}}} oriented more than once")
+        lower_first[pair] = u < v
+    bits = 0
+    for p, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        if (u, v) not in lower_first:
+            raise MissingPairError(f"pair {{{u}, {v}}} was never oriented")
+        bits |= lower_first[u, v] << p
+    return Tournament(n, bits)
 
 
 def edges(t) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,7 @@ from kingchain import (
 from kingchain.errors import (
     CycleAlreadySpanningError,
     MalformedCertificateError,
+    MissingPairError,
     NotAKingError,
     NotStrongError,
     OrderTooSmallError,
@@ -305,6 +307,22 @@ class TestCertificate:
                 reference = json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
                 assert dumps_certificate(t, chain) == reference
         assert multi_block > 0
+
+    def test_oversized_order_allocates_by_the_input(self, t4a):
+        # The tournament's edge count is compared with C(n, 2) before anything
+        # of size n is made; a matrix for n = 10^6 would not fit in memory.
+        cert = json.loads(dumps_certificate(t4a, build_chain(t4a, 1)))
+        cert["n"] = 1000000
+        text = json.dumps(cert)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingPairError) as info:
+                loads_certificate(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "pair {0, 4} was never oriented"
+        assert peak < 1 << 20
 
     def test_loads_rejects_garbage(self, t4a):
         with pytest.raises(MalformedCertificateError):

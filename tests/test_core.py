@@ -16,7 +16,7 @@ from kingchain import (
     random_strong_tournament,
     random_tournament,
 )
-from kingchain.core import mask_to_vertices, pair_count, pair_index
+from kingchain.core import _MATRIX_CUT, mask_to_vertices, pair_count, pair_index
 from kingchain.errors import (
     DuplicatePairError,
     MissingPairError,
@@ -26,7 +26,10 @@ from kingchain.errors import (
     VertexOutOfRangeError,
 )
 
-from brute import brute_out_masks, brute_strong, edges
+from brute import brute_out_masks, brute_read, brute_strong, edges
+
+# Orders on both sides of the cut between the per-pair loops and the matrix passes.
+READER_ORDERS = (5, _MATRIX_CUT - 1, _MATRIX_CUT, _MATRIX_CUT + 6)
 
 # sha256 of random_strong_tournament(n, seed).bits for n in {1, 3..12, 50} and
 # seed in 0..99, frozen from the code before the strong draws came from one
@@ -74,6 +77,19 @@ class TestFromEdgeList:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_oversized_header_allocates_by_the_input(self):
+        # The edge count is compared with C(n, 2) before anything of size n is
+        # made; a matrix or name table for n = 10^6 would not fit in memory.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingPairError) as info:
+                parse_text("1000000\n0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "pair {0, 2} was never oriented"
+        assert peak < 1 << 20
+
     def test_duplicate_pair(self):
         with pytest.raises(DuplicatePairError):
             from_edge_list(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
@@ -89,6 +105,92 @@ class TestFromEdgeList:
     def test_single_vertex(self):
         t = from_edge_list(1, [])
         assert t.n == 1 and t.bits == 0
+
+
+def _text(n, arcs):
+    return "\n".join([str(n)] + [f"{u} {v}" for u, v in arcs]) + "\n"
+
+
+class TestReader:
+    """parse_text and from_edge_list against brute_read, on both sides of the cut."""
+
+    @pytest.mark.parametrize("n", READER_ORDERS)
+    def test_rejections_name_the_fault(self, n):
+        arcs = edges(random_strong_tournament(n, 3))
+        u, v = arcs[4]
+        a, b = sorted(arcs[1])
+
+        def at(first, second):
+            return next(i for i, arc in enumerate(arcs) if arc[0] in first and arc[1] in second)
+
+        # The last three put an out-of-range vertex where its cell u*n + v
+        # wraps onto the cell of the edge it replaces; a strong tournament has
+        # each of those edges.
+        i, j, k = at([n - 1], range(n)), at(range(n - 1), [n - 1]), at(range(1, n), [0])
+        out_of_range = [
+            (4, (u, n)), (4, (n, v)), (4, (-1, v)),
+            (i, (-1, arcs[i][1])), (j, (arcs[j][0] + 1, -1)), (k, (arcs[k][0] - 1, n)),
+        ]
+        # Each edit keeps the edge count but the last, so the matrix pass sees
+        # them all; each must still raise the loop's error for the first fault.
+        cases = [(4, (u, u), SelfLoopError, f"self-loop at vertex {u}")]
+        cases += [
+            (index, (x, y), VertexOutOfRangeError, f"edge ({x}, {y}) outside order {n}")
+            for index, (x, y) in out_of_range
+        ]
+        cases += [
+            (4, arcs[1], DuplicatePairError, f"pair {{{a}, {b}}} oriented more than once"),
+            (4, arcs[1][::-1], DuplicatePairError, f"pair {{{a}, {b}}} oriented more than once"),
+            (4, None, MissingPairError, f"pair {{{min(u, v)}, {max(u, v)}}} was never oriented"),
+        ]
+        for index, arc, error, message in cases:
+            bad = arcs[:index] + [arc] * (arc is not None) + arcs[index + 1:]
+            for read in (brute_read, from_edge_list, lambda n, e: parse_text(_text(n, e))):
+                with pytest.raises(error) as info:
+                    read(n, bad)
+                assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            parse_text(_text(n, arcs).rsplit(" ", 1)[0])
+        assert str(info.value) == "odd number of vertex tokens after the header line"
+
+    @pytest.mark.parametrize("n", READER_ORDERS)
+    def test_any_spelling_and_order_reads_the_same(self, n):
+        t = random_strong_tournament(n, 4)
+        arcs = edges(t)
+        lines = _text(n, arcs).splitlines()
+        respell = ({"0": "00", "3": "003"}, {"0": "-0"})
+        spelled = [
+            " ".join(respell[i % 2].get(tok, tok) for tok in line.split())
+            for i, line in enumerate(lines)
+        ]
+        assert {"00", "-0", "003"} <= set(" ".join(spelled).split())
+        shuffled = [lines[0]] + random.Random(n).sample(lines[1:], len(lines) - 1)
+        for text in (
+            "\n".join(spelled),
+            "\n".join(["0" + lines[0]] + lines[1:]),
+            "\n".join(shuffled),
+            "\t " + "  \n\n ".join(lines) + " \r\n",
+            " ".join(lines),
+        ):
+            assert parse_text(text) == t
+        assert from_edge_list(n, reversed(arcs)) == t == brute_read(n, arcs)
+        assert from_edge_list(n, [list(arc) for arc in arcs]) == t
+
+    def test_unreadable_edges_raise_the_loops_error(self):
+        n = _MATRIX_CUT + 6
+        arcs = edges(random_strong_tournament(n, 5))
+        (u, v), (w, x) = arcs[4:6]
+        cases = [
+            ([(u, float(v)), (w, x)], TypeError),
+            ([(u, str(v)), (w, x)], TypeError),
+            ([(u, v, 0), (w, x)], ValueError),
+            ([None, (w, x)], TypeError),
+            # The same vertices in the same order, split wrongly into edges.
+            ([(u,), (v, w, x)], ValueError),
+        ]
+        for pair, error in cases:
+            with pytest.raises(error):
+                from_edge_list(n, arcs[:4] + pair + arcs[6:])
 
 
 class TestRandomTournament:
@@ -237,6 +339,14 @@ class TestTournamentValue:
         for n in [1, 2] + [rng.randint(3, 300) for _ in range(198)]:
             bits = rng.getrandbits(pair_count(n))
             assert Tournament(n, bits).out_masks == brute_out_masks(n, bits)
+        # Both sides of the cut between the row loop and the transpose, and the
+        # extreme orientations, where every digit of the matrix is the same.
+        for n in (_MATRIX_CUT - 1, _MATRIX_CUT, _MATRIX_CUT + 1):
+            extremes = [0, (1 << pair_count(n)) - 1]
+            for bits in extremes + [rng.getrandbits(pair_count(n)) for _ in range(5)]:
+                assert Tournament(n, bits).out_masks == brute_out_masks(n, bits)
+        bits = rng.getrandbits(pair_count(1000))
+        assert Tournament(1000, bits).out_masks == brute_out_masks(1000, bits)
 
     def test_out_degree_sum(self):
         t = random_tournament(12, 5)

@@ -7,6 +7,7 @@ database, so every run replays the same cases.
 """
 
 import json
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +23,10 @@ from kingchain import (
     random_tournament,
     verify_chain,
 )
+from kingchain.core import _MATRIX_CUT
 from kingchain.errors import MalformedCertificateError, TournamentError
 
-from brute import certificate_json
+from brute import brute_read, certificate_json
 from conftest import T4A_EDGES
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -54,9 +56,10 @@ def header_and_edges(draw):
 
 
 @st.composite
-def mutated_tournament_texts(draw):
-    """A valid text of order <= 8 with a few tokens replaced, dropped or added."""
-    n = draw(st.integers(1, 8))
+def mutated_tournament_texts(draw, orders=st.integers(1, 8)):
+    """A valid text of an order from `orders` (1..8 unless given), with a few
+    tokens replaced, dropped or added."""
+    n = draw(orders)
     tokens = export(random_tournament(n, draw(st.integers(0, 10**6))), "text").split()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(tokens)))
@@ -66,7 +69,7 @@ def mutated_tournament_texts(draw):
         elif action == "drop":
             del tokens[i]
         else:
-            tokens[i] = str(draw(st.integers(-2, 9)))
+            tokens[i] = str(draw(st.integers(-2, max(9, n + 1))))
     return " ".join(tokens)
 
 
@@ -140,6 +143,38 @@ def test_parse_text_mutated(text):
 @given(st.text(max_size=40))
 def test_parse_text_arbitrary(text):
     _parse_or_domain_error(text)
+
+
+def _read_outcome(read, *args):
+    """The tournament read, or the error class, with the message of a domain error."""
+    try:
+        return read(*args)
+    except TournamentError as exc:
+        return type(exc), str(exc)
+    except ValueError:
+        return ValueError
+
+
+def _brute_parse(text):
+    tokens = text.split()
+    if len(tokens) % 2 == 0 or not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+        raise ValueError("not a header and vertex pairs of ASCII decimal tokens")
+    values = [int(tok) for tok in tokens]
+    return brute_read(values[0], list(zip(values[1::2], values[2::2])))
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        header_and_edges(),
+        mutated_tournament_texts(),
+        # Orders at the cut and above, where a text with the full token count
+        # is read by the matrix pass.
+        mutated_tournament_texts(st.integers(_MATRIX_CUT - 1, _MATRIX_CUT + 8)),
+    )
+)
+def test_parse_text_matches_brute_read(text):
+    assert _read_outcome(parse_text, text) == _read_outcome(_brute_parse, text)
 
 
 @PROPERTY
