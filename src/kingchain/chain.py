@@ -256,9 +256,10 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     """Inverse of dumps_certificate; a written certificate round-trips byte for byte.
 
-    Every array the writer writes must be a JSON array, every insertion
-    record an object, and the order and every vertex a JSON integer. Other
-    keys load and are dropped on write.
+    Here every array the writer writes must be a JSON array, every insertion
+    record an object, and the order and every vertex a JSON integer; other keys
+    load and are dropped on write. from_edge_list then checks each edge's shape,
+    range and pair in input order, so the first faulty edge is the one named.
     """
     try:
         obj = json.loads(text)
@@ -269,9 +270,8 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     try:
         edges, cycles, blocks = obj["tournament"], obj["cycles"], obj["reid_blocks"]
         records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
-        # An object iterates over its keys, so an empty one would load as an
-        # empty array. JSON booleans decode to bool, a subclass of int;
-        # neither they nor floats or strings may stand for an order or a vertex.
+        # An object iterates over its keys, so an empty one would pass as an empty
+        # array; and a bool is an int. Only ints may stand for an order or a vertex.
         arrays = (obj["A"], obj["B"], obj["spine"], obj["insertions"], blocks, cycles, edges)
         values = itertools.chain(
             (obj["n"], obj["king"], obj["a_star"], obj["b_star"]), obj["A"], obj["B"],
@@ -282,7 +282,7 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
             raise MalformedCertificateError(
                 "certificate orders and vertices must be integers, in JSON arrays"
             )
-        t = from_edge_list(obj["n"], [(u, v) for u, v in edges])
+        t = from_edge_list(obj["n"], edges)
         chain = CycleChain(
             king=obj["king"],
             cycles=tuple(tuple(c) for c in cycles),

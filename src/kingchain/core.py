@@ -300,13 +300,10 @@ def parse_text(text: str) -> Tournament:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty tournament text")
-    bad = _NON_DECIMAL.search(text)
-    if bad:
-        raise ValueError(f"non-decimal character {bad.group()!r} in tournament text")
     # Check fast: a text of order n > 1 holds n(n-1) + 1 tokens, whose integer
-    # square root is n - 1. If the header is that n and each vertex is written
-    # as export writes it, the dicts turn each token into its part of a cell,
-    # in range; a KeyError, or cells that are no tournament, go to the loop.
+    # square root is n - 1. If the header is that n and each vertex is written as
+    # export writes it, the dicts turn each token into its part of a cell, in range.
+    # A KeyError (so any non-decimal token), or cells that are no tournament, go to the loop.
     n = math.isqrt(len(tokens)) + 1
     if n >= _MATRIX_CUT and n * (n - 1) == len(tokens) - 1 and tokens[0] == str(n):
         rows = {str(u): u * n for u in range(n)}
@@ -318,6 +315,9 @@ def parse_text(text: str) -> Tournament:
             t = None
         if t is not None:
             return t
+    bad = _NON_DECIMAL.search(text)
+    if bad:
+        raise ValueError(f"non-decimal character {bad.group()!r} in tournament text")
     try:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:
@@ -325,4 +325,4 @@ def parse_text(text: str) -> Tournament:
     n, rest = values[0], values[1:]
     if len(rest) % 2:
         raise ValueError("odd number of vertex tokens after the header line")
-    return from_edge_list(n, list(zip(rest[0::2], rest[1::2])))
+    return from_edge_list(n, zip(rest[0::2], rest[1::2]))

@@ -82,8 +82,8 @@ def _is_directed_cycle(out_masks: tuple[int, ...], cyc: Sequence[int]) -> bool:
 
 
 def _brute_kings(t: Tournament) -> list[int]:
-    everyone = list(range(t.n))
-    return [v for v in everyone if brute_is_king_of_induced(t, v, everyone)]
+    reach = [_two_step_reach(t.out_masks, v, range(t.n)) for v in range(t.n)]
+    return [v for v, (members, reached) in enumerate(reach) if not members & ~reached]
 
 
 @dataclass(frozen=True)

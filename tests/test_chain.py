@@ -24,8 +24,10 @@ from kingchain import (
     random_strong_tournament,
     spine_path,
 )
+from kingchain.core import _MATRIX_CUT
 from kingchain.errors import (
     CycleAlreadySpanningError,
+    DuplicatePairError,
     MalformedCertificateError,
     MissingPairError,
     NotAKingError,
@@ -141,6 +143,12 @@ class TestExtendCycle:
         ctx, _ = context_and_blocks(t4a, 1)
         with pytest.raises(CycleAlreadySpanningError):
             extend_cycle(t4a, ctx, (1, 2, 3, 0))
+
+    def test_cycle_must_start_at_the_king(self, t4a):
+        ctx, _ = context_and_blocks(t4a, 1)
+        with pytest.raises(ValueError) as info:
+            extend_cycle(t4a, ctx, (3, 0, 1))
+        assert str(info.value) == "cycle must start at the king"
 
     def test_postcondition(self):
         rng = random.Random(24)
@@ -323,6 +331,36 @@ class TestCertificate:
             tracemalloc.stop()
         assert str(info.value) == "pair {0, 4} was never oriented"
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("order", [4, 30])
+    def test_edge_shape_errors_name_the_unpacking(self, t4a, order):
+        # Below the matrix cut and above it, from_edge_list's loop names a
+        # first edge that is not a pair.
+        assert 4 < _MATRIX_CUT <= 30
+        t = t4a if order == 4 else random_strong_tournament(order, 1)
+        good = json.loads(dumps_certificate(t, build_chain(t, kings(t)[0])))
+        for edge, message in (
+            ([0, 1, 2], "too many values to unpack (expected 2)"),
+            ([0], "not enough values to unpack (expected 2, got 1)"),
+            ([], "not enough values to unpack (expected 2, got 0)"),
+        ):
+            bad = json.loads(json.dumps(good))
+            bad["tournament"][0] = edge
+            with pytest.raises(MalformedCertificateError) as info:
+                loads_certificate(json.dumps(bad))
+            assert str(info.value) == f"certificate missing or mistyped field: {message}"
+
+    def test_edge_faults_are_named_in_input_order(self, t4a):
+        # The edges are checked once, by from_edge_list, one at a time: a
+        # repeated pair ahead of a wrong-length edge is the fault named.
+        cert = json.loads(dumps_certificate(t4a, build_chain(t4a, 1)))
+        edges = cert["tournament"]
+        edges[1] = list(edges[0])
+        edges[5] = [*edges[5], 0]
+        u, v = sorted(edges[0])
+        with pytest.raises(DuplicatePairError) as info:
+            loads_certificate(json.dumps(cert))
+        assert str(info.value) == f"pair {{{u}, {v}}} oriented more than once"
 
     def test_loads_rejects_garbage(self, t4a):
         with pytest.raises(MalformedCertificateError):

@@ -192,6 +192,25 @@ class TestReader:
             with pytest.raises(error):
                 from_edge_list(n, arcs[:4] + pair + arcs[6:])
 
+    def test_non_decimal_scan_runs_only_on_the_loop_path(self, monkeypatch):
+        # The matrix read accepts only tokens written as export writes them,
+        # so a text it accepts is never scanned; one it declines still is.
+        t = random_strong_tournament(40, 6)
+        text = export(t, "text")
+        bad = text.replace("\n1 ", "\n+1 ", 1)
+        with pytest.raises(ValueError) as info:
+            parse_text(bad)
+        assert str(info.value) == "non-decimal character '+' in tournament text"
+
+        class Unscannable:
+            def search(self, text):
+                raise AssertionError("scanned")
+
+        monkeypatch.setattr("kingchain.core._NON_DECIMAL", Unscannable())
+        assert parse_text(text) == t
+        with pytest.raises(AssertionError, match="scanned"):
+            parse_text(bad)
+
 
 class TestRandomTournament:
     def test_single_vertex(self):

@@ -16,11 +16,13 @@ from kingchain import (
 )
 from kingchain.errors import (
     EmptySubsetError,
+    InternalContradictionError,
     NotStrongSubsetError,
     OrderTwoSubsetError,
     TargetNotInSubsetError,
     TournamentError,
 )
+from kingchain.hamilton import splice_slot
 
 from brute import brute_strong_subset
 
@@ -241,3 +243,11 @@ class TestPathEndingAt:
             path = path_ending_at(t, subset, target)
             assert path[-1] == target
             assert_valid_path(t, path, subset)
+
+
+class TestSpliceSlot:
+    def test_no_slot_for_a_vertex_every_cycle_vertex_beats(self):
+        t = from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+        with pytest.raises(InternalContradictionError) as info:
+            splice_slot(t, (0, 1, 2), 3)
+        assert str(info.value) == "no insertion slot for vertex 3"
