@@ -34,7 +34,7 @@ from .core import (
     random_strong_tournament,
     random_tournament,
 )
-from .hamilton import hamiltonian_cycle, hamiltonian_path, path_ending_at
+from .hamilton import hamiltonian_path, path_ending_at
 from .oracle import (
     ExhaustiveSummary,
     StressSummary,
@@ -65,7 +65,6 @@ __all__ = [
     "extend_cycle",
     "find_exit_edge",
     "from_edge_list",
-    "hamiltonian_cycle",
     "hamiltonian_path",
     "is_king",
     "is_strong",

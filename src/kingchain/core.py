@@ -31,12 +31,7 @@ from .errors import (
 # 2^28 orientations for n=8 is the practical ceiling for full enumeration.
 ENUMERATION_LIMIT = 8
 
-# A pair flag as a binary digit: 1 (from the higher vertex) is 0, 2 is 1.
-_FLAG_BITS = bytes.maketrans(b"\x01\x02", b"01")
-
-# An edge cell's flag as a binary digit, and a flag or a digit negated.
-_CELL_BITS = bytes.maketrans(b"\x00\x01", b"01")
-_NOT_CELL = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# A binary digit negated. Pair and cell flags are stored as ASCII digits.
 _NOT_DIGIT = bytes.maketrans(b"01", b"10")
 
 # From this order up, Tournament unpacks by a bit-matrix transpose, and
@@ -161,14 +156,14 @@ def _from_cells(n: int, cells: Iterable[int]) -> Tournament | None:
     then the C(n, 2) pairs take one cell each, so no cell repeats and none
     lies on the diagonal.
     """
-    flags = bytearray(n * n)
-    any(map(flags.__setitem__, cells, itertools.repeat(1)))
+    flags = bytearray(b"0" * (n * n))
+    any(map(flags.__setitem__, cells, itertools.repeat(ord("1"))))
     upper = b"".join([flags[u * n + u + 1:(u + 1) * n] for u in range(n)])
     lower = b"".join([flags[(u + 1) * n + u::n] for u in range(n)])
-    if upper.translate(_NOT_CELL) != lower:
+    if upper.translate(_NOT_DIGIT) != lower:
         return None
     # Pair p's flag is bit p, so the digits run from the top.
-    return Tournament(n, int(b"0" + upper[::-1].translate(_CELL_BITS), 2))
+    return Tournament(n, int(b"0" + upper[::-1], 2))
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
@@ -195,7 +190,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
                         return t
         except TypeError:
             pass
-    # Per pair index: 0 unseen, 1 oriented from its higher vertex, 2 from its lower.
+    # Per pair index: 0 unseen, else the pair's bit as an ASCII digit, "1" for u < v.
     seen = bytearray(total) if len(edges) >= total else defaultdict(int)
     for u, v in edges:
         if u == v:
@@ -207,14 +202,14 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
             raise DuplicatePairError(
                 f"pair {{{min(u, v)}, {max(u, v)}}} oriented more than once"
             )
-        seen[p] = 1 + (u < v)
+        seen[p] = 48 + (u < v)
     if len(edges) < total:
         # Pairs are indexed in lexicographic order: this stops within len(edges) + 1 steps.
         pairs = ((u, v) for u in range(n - 1) for v in range(u + 1, n))
         u, v = next(pair for p, pair in enumerate(pairs) if not seen[p])
         raise MissingPairError(f"pair {{{u}, {v}}} was never oriented")
     # Each pair is now named once; pair p's flag is bit p, so the digits run from the top.
-    return Tournament(n, int(b"0" + seen[::-1].translate(_FLAG_BITS), 2))
+    return Tournament(n, int(b"0" + seen[::-1], 2))
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

@@ -46,11 +46,7 @@ class NotStrongError(TournamentError):
 
 
 class NotStrongSubsetError(TournamentError):
-    """The induced subtournament is not strongly connected."""
-
-
-class OrderTwoSubsetError(NotStrongSubsetError):
-    """A two-vertex subset can never induce a strong subtournament."""
+    """Some subset vertex does not reach the target, so the subset is not strong."""
 
 
 class NotAKingError(TournamentError):

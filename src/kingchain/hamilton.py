@@ -1,22 +1,33 @@
-"""Hamiltonian paths and cycles inside tournaments.
+"""Hamiltonian paths inside tournaments, and the splice slot of a cycle.
 
-Every tournament has a Hamiltonian path, and every strong tournament on at
-least three vertices has a Hamiltonian cycle. Both constructions below are
-the classical incremental ones; all tie-breaking is lowest-index-first so
-the output is a pure function of the input.
+Every tournament has a Hamiltonian path, built here by Rédei's insertion
+rule (1934). Read toward a target, the same rule gives a path ending at any
+vertex that every other vertex reaches, which in a strong subset is every
+vertex (Camion 1959). All tie-breaking is lowest-index-first, so the output
+is a pure function of the input. A Hamiltonian cycle of a strong tournament
+needs no algorithm of its own: `build_chain(t, k).cycles[-1]` is one.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Tournament, checked_subset, mask_to_vertices
+from .core import Tournament, checked_subset
 from .errors import (
     InternalContradictionError,
     NotStrongSubsetError,
-    OrderTwoSubsetError,
     TargetNotInSubsetError,
 )
+
+
+def _insert(out_masks: tuple[int, ...], path: list[int], v: int) -> None:
+    # Rédei's rule: just before the first path vertex v beats, or at the end.
+    vm = out_masks[v]
+    for i, u in enumerate(path):
+        if vm >> u & 1:
+            path.insert(i, v)
+            return
+    path.append(v)
 
 
 def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
@@ -31,13 +42,40 @@ def hamiltonian_path(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
     out_masks = t.out_masks
     path = [verts[0]]
     for v in verts[1:]:
-        vm = out_masks[v]
-        for i, u in enumerate(path):
-            if vm >> u & 1:
-                path.insert(i, v)
-                break
-        else:
-            path.append(v)
+        _insert(out_masks, path, v)
+    return tuple(path)
+
+
+def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[int, ...]:
+    """Hamiltonian path of `subset` whose final vertex is `target`.
+
+    Rédei's rule toward the target: the path starts as the target alone, and
+    each sweep over the other vertices, in ascending order, inserts every one
+    that beats a path vertex, just before the first one it beats; the rest
+    wait for the next sweep. An inserted vertex never goes last, so the path
+    keeps ending at the target. Such a path exists iff every subset vertex
+    reaches the target, as in a strong subset. A sweep that inserts nothing
+    leaves vertices beaten by the whole path, which reach none of it, and
+    raises `NotStrongSubsetError`. A target outside the subset raises
+    `TargetNotInSubsetError` first.
+    """
+    verts, _ = checked_subset(t, subset)
+    if target not in verts:
+        raise TargetNotInSubsetError(f"target {target} not in subset")
+    out_masks = t.out_masks
+    path, on_path = [target], 1 << target
+    waiting = [v for v in verts if v != target]
+    while waiting:
+        deferred = []
+        for v in waiting:
+            if out_masks[v] & on_path:
+                _insert(out_masks, path, v)
+                on_path |= 1 << v
+            else:
+                deferred.append(v)
+        if len(deferred) == len(waiting):
+            raise NotStrongSubsetError(f"vertex {deferred[0]} does not reach target {target}")
+        waiting = deferred
     return tuple(path)
 
 
@@ -53,96 +91,3 @@ def splice_slot(t: Tournament, cycle: Sequence[int], z: int) -> int:
         if out_masks[cycle[i]] >> z & 1 and zm >> cycle[(i + 1) % size] & 1:
             return i
     raise InternalContradictionError(f"no insertion slot for vertex {z}")
-
-
-def _seed_triangle(t: Tournament, verts: list[int], sub_mask: int) -> list[int]:
-    """Directed 3-cycle through the lowest vertex v of the subset.
-
-    Every vertex of a strong tournament lies on a 3-cycle (Moon 1966), so
-    finding none proves the subset is not strong. First try v, its lowest
-    out-neighbor u and the lowest w with u -> w -> v; failing that, the
-    lexicographically first pair b < c closing v -> b -> c or v -> c -> b.
-    """
-    out_masks = t.out_masks
-    v = verts[0]
-    out_v = out_masks[v] & sub_mask
-    in_v = sub_mask & ~out_masks[v] & ~(1 << v)
-    if out_v:
-        u = (out_v & -out_v).bit_length() - 1
-        hits = out_masks[u] & in_v
-        if hits:
-            return [v, u, (hits & -hits).bit_length() - 1]
-    for b in verts[1:]:
-        above_b = sub_mask >> (b + 1) << (b + 1)
-        if out_v >> b & 1:
-            hits = out_masks[b] & in_v & above_b
-            if hits:
-                return [v, b, (hits & -hits).bit_length() - 1]
-        else:
-            hits = out_v & ~out_masks[b] & above_b
-            if hits:
-                return [v, (hits & -hits).bit_length() - 1, b]
-    raise NotStrongSubsetError("no 3-cycle through the lowest vertex of the subset")
-
-
-def hamiltonian_cycle(t: Tournament, subset: Iterable[int]) -> tuple[int, ...]:
-    """Cycle through all of `subset`, which must induce a strong subtournament.
-
-    A singleton subset returns the one-vertex tuple (a single vertex is
-    strong but carries no cycle). Otherwise the result has length >= 3.
-
-    Starting from a 3-cycle, each round either splices in an outside vertex
-    with both an in- and an out-neighbor on the cycle, or, when every outside
-    vertex dominates or is dominated by the whole cycle, absorbs a dominated
-    vertex followed by a dominator, growing the cycle by two. The dominators
-    and the dominated are two masks updated as each vertex joins the cycle,
-    so no round rescans the outside vertices. A subset is
-    strong iff it has a Hamiltonian cycle (Camion 1959), so growth gets stuck,
-    with `NotStrongSubsetError`, exactly when the subset is not strong.
-    """
-    verts, sub_mask = checked_subset(t, subset)
-    if len(verts) == 1:
-        return (verts[0],)
-    if len(verts) == 2:
-        raise OrderTwoSubsetError("no strong subtournament on exactly two vertices")
-
-    out_masks = t.out_masks
-    cycle = _seed_triangle(t, verts, sub_mask)
-    cyc_mask, dominators, dominated = 0, sub_mask, sub_mask
-    added = tuple(cycle)
-    while True:
-        for v in added:
-            cyc_mask |= 1 << v
-            dominators &= ~out_masks[v] & ~(1 << v)
-            dominated &= out_masks[v]
-        if cyc_mask == sub_mask:
-            return tuple(cycle)
-        mixed = sub_mask & ~cyc_mask & ~dominators & ~dominated
-        if mixed:
-            z = (mixed & -mixed).bit_length() - 1
-            cycle.insert(splice_slot(t, cycle, z) + 1, z)
-            added = (z,)
-            continue
-        # Every outside vertex beats the whole cycle or loses to all of it.
-        for low in mask_to_vertices(dominated):
-            hits = out_masks[low] & dominators
-            if hits:
-                break
-        else:
-            raise NotStrongSubsetError("no edge from a dominated vertex to a dominator")
-        added = (low, (hits & -hits).bit_length() - 1)
-        cycle.extend(added)
-
-
-def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[int, ...]:
-    """Hamiltonian path of a strong subset whose final vertex is `target`.
-
-    Obtained by cutting the Hamiltonian cycle right after `target` and
-    unrolling it. The subset is checked first: `hamiltonian_cycle` rejects one
-    that is not strong even when `target` also lies outside it.
-    """
-    cycle = hamiltonian_cycle(t, subset)
-    if target not in cycle:
-        raise TargetNotInSubsetError(f"target {target} not in subset")
-    i = cycle.index(target)
-    return cycle[i + 1 :] + cycle[: i + 1]

@@ -123,6 +123,16 @@ def brute_strong_subset(t, subset) -> bool:
     return all(len(reachable_from(adj, v)) == len(verts) for v in verts)
 
 
+def brute_reaches(t, subset, target) -> bool:
+    """True iff every vertex of `subset` reaches `target` inside it; `target` in `subset`."""
+    verts = set(subset)
+    radj: dict[int, set[int]] = {v: set() for v in verts}
+    for u, v in edges(t):
+        if u in verts and v in verts:
+            radj[v].add(u)
+    return reachable_from(radj, target) == verts
+
+
 def brute_kings(t) -> tuple[int, ...]:
     adj = adjacency(t)
     result = []

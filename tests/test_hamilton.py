@@ -1,4 +1,4 @@
-"""Tests for Hamiltonian path and cycle construction."""
+"""Tests for Hamiltonian paths, and for the chain's last cycle as a Hamiltonian cycle."""
 
 import hashlib
 import itertools
@@ -7,41 +7,31 @@ import random
 import pytest
 
 from kingchain import (
+    build_chain,
     enumerate_all,
     from_edge_list,
-    hamiltonian_cycle,
     hamiltonian_path,
+    kings,
     path_ending_at,
     random_tournament,
 )
 from kingchain.errors import (
     EmptySubsetError,
     InternalContradictionError,
+    NotStrongError,
     NotStrongSubsetError,
-    OrderTwoSubsetError,
     TargetNotInSubsetError,
     TournamentError,
 )
 from kingchain.hamilton import splice_slot
 
-from brute import brute_strong_subset
+from brute import brute_reaches, brute_strong, brute_strong_subset
 
 
-# sha256 of hamiltonian_cycle's output or exception class name on every
+# sha256 of hamiltonian_path's output or exception class name on every
 # nonempty subset of every tournament of each order, and on 3,000 seeded random
-# subsets with n <= 60. Frozen from the code before the mask-tracked growth;
-# a refactor must reproduce them.
-CYCLE_DIGESTS = {
-    1: "a0c83a831e4a1cbcbe67282d5da1f03dae9057a635686e12936747b3f0c7bc9d",
-    2: "b1994d01df29355e977c432f730025a01a521ccb7d2aeaee230f01bcef2054da",
-    3: "448630bf3186afbacf591d0ebf420b8bd0b641af69cea3699c7115e18a96f37e",
-    4: "ed1e2b99b010de8efcbe994b1584905ec854d2728459e9fd7df569592b451bd0",
-    5: "f4281324457667db078f2442588ce4063dff816c3646475471e730b10ddb2eec",
-    "random": "648f1e0a4b18c7ed0203d96487aaf60f8b0aacb44fdc1ad6884750c27fafabac",
-}
-
-# Digests of the same calls for hamiltonian_path, frozen from the code before
-# Rédei's single insertion rule replaced the prepend, internal and append slots.
+# subsets with n <= 60. Frozen from the code before Rédei's single insertion
+# rule replaced the prepend, internal and append slots.
 PATH_DIGESTS = {
     1: "a0c83a831e4a1cbcbe67282d5da1f03dae9057a635686e12936747b3f0c7bc9d",
     2: "89aff938c5c78407ef08979db3c8b1163d644c6a2f01aa319fe8a710c27e55b4",
@@ -52,14 +42,28 @@ PATH_DIGESTS = {
 }
 
 
+# Digests of path_ending_at on the same subsets: on every order, with each
+# subset vertex as the target and then the lowest vertex outside the subset;
+# on the random subsets, with the middle subset vertex and then the lowest
+# outside one. Frozen from the first code with Rédei's rule toward the target.
+ENDING_DIGESTS = {
+    1: "8d59896b4bcb8f9e2aba32fa89ecceae266892223dde94414487ac7ef1338b6b",
+    2: "bd117ed70973422ec460bf46c3bfb1a702e245944062f4d974f81655234f8817",
+    3: "927e9deeffa2111e498832db1e7f17f9c01d2e35c85408d314badd68e898fe58",
+    4: "b0dfb96230b861659d7596ff48bf88827ce75ded1d9de85a0f873b3e12fe199b",
+    5: "a63153d29ab9a37bcaf034a19a4e90755006962eedccfce5f2fc2007f1b92b60",
+    "random": "74fd7962bff456aea5de13f02ee6e4394eb607e3e8deaa189f3273476a9158d0",
+}
+
+
 def digest(fn, calls):
     h = hashlib.sha256()
-    for t, subset in calls:
+    for t, *args in calls:
         try:
-            out = repr(fn(t, subset))
+            out = repr(fn(t, *args))
         except TournamentError as exc:
             out = type(exc).__name__
-        h.update(f"{t.n} {t.bits} {subset} {out}\n".encode())
+        h.update(f"{t.n} {t.bits} {' '.join(map(str, args))} {out}\n".encode())
     return h.hexdigest()
 
 
@@ -77,6 +81,33 @@ def random_subsets(count):
         t = random_tournament(n, rng.randrange(10**6))
         keep = rng.random()
         yield t, tuple(v for v in range(n) if rng.random() < keep)
+
+
+def with_targets(calls, every):
+    """Each call once per target: every subset vertex, or only the middle one,
+    then the lowest vertex outside the subset, which is n for a full subset."""
+    for t, subset in calls:
+        outside = min(set(range(t.n + 1)) - set(subset))
+        for target in (*(subset if every else subset[len(subset) // 2 :][:1]), outside):
+            yield t, subset, target
+
+
+def checked_path_ending_at(t, subset, target):
+    """path_ending_at, checked against the brute reference on the way."""
+    outside = target not in subset
+    reaches = outside or brute_reaches(t, subset, target)
+    try:
+        path = path_ending_at(t, subset, target)
+    except TargetNotInSubsetError:
+        assert outside
+        raise
+    except NotStrongSubsetError:
+        assert not reaches
+        raise
+    assert not outside and reaches
+    assert path[-1] == target
+    assert_valid_path(t, path, subset)
+    return path
 
 
 def assert_valid_path(t, path, subset):
@@ -129,81 +160,45 @@ class TestHamiltonianPath:
 
 
 class TestHamiltonianCycle:
-    def test_three_cycle(self, three_cycle):
-        assert hamiltonian_cycle(three_cycle, [0, 1, 2]) == (0, 1, 2)
+    """A strong tournament's Hamiltonian cycle is its chain's last cycle, Cn."""
 
-    def test_singleton(self, t4a):
-        assert hamiltonian_cycle(t4a, [3]) == (3,)
+    def test_three_cycle(self, three_cycle):
+        assert build_chain(three_cycle, 0).cycles[-1] == (0, 1, 2)
 
     def test_t4a_spanning(self, t4a):
-        cycle = hamiltonian_cycle(t4a, range(4))
-        assert_valid_cycle(t4a, cycle, range(4))
-
-    def test_order_two(self, t4a):
-        with pytest.raises(OrderTwoSubsetError):
-            hamiltonian_cycle(t4a, [0, 1])
+        for k in kings(t4a):
+            assert_valid_cycle(t4a, build_chain(t4a, k).cycles[-1], range(4))
 
     def test_not_strong(self, transitive_triangle):
-        with pytest.raises(NotStrongSubsetError):
-            hamiltonian_cycle(transitive_triangle, [0, 1, 2])
-        # Every nonempty subset of every tournament with n <= 5: growth either
-        # spans the subset or gets stuck, and it gets stuck exactly when the
-        # subset is not strong.
-        for n in range(1, 6):
+        with pytest.raises(NotStrongError):
+            build_chain(transitive_triangle, 0)
+        # Every king of every tournament with 3 <= n <= 5: the chain ends in a
+        # Hamiltonian cycle exactly when the tournament is strong (Camion 1959).
+        for n in range(3, 6):
             for t in enumerate_all(n):
-                for size in range(1, n + 1):
-                    for subset in itertools.combinations(range(n), size):
-                        if not brute_strong_subset(t, subset):
-                            with pytest.raises(NotStrongSubsetError):
-                                hamiltonian_cycle(t, subset)
-                        elif size == 1:
-                            assert hamiltonian_cycle(t, subset) == subset
-                        else:
-                            assert_valid_cycle(t, hamiltonian_cycle(t, subset), subset)
-
-    def test_fallback_seed(self):
-        # The lowest out-neighbor 1 of vertex 0 beats no in-neighbor of 0, so
-        # the seed comes from the pair scan (0 -> 3 -> 2 -> 0, at b = 2), and
-        # then 1 is spliced in between 0 and 3.
-        t = from_edge_list(4, [(0, 1), (0, 3), (1, 3), (2, 0), (2, 1), (3, 2)])
-        assert hamiltonian_cycle(t, range(4)) == (0, 1, 3, 2)
-
-    def test_absorption_of_dominator_and_dominated(self):
-        # Vertex 3 beats the whole seed triangle and 4 loses to all of it, so
-        # growth must go through the two-vertex absorption step via 4 -> 3.
-        t = from_edge_list(
-            5,
-            [(0, 1), (1, 2), (2, 0),
-             (3, 0), (3, 1), (3, 2),
-             (0, 4), (1, 4), (2, 4),
-             (4, 3)],
-        )
-        cycle = hamiltonian_cycle(t, range(5))
-        assert_valid_cycle(t, cycle, range(5))
-        assert cycle == (0, 1, 2, 4, 3)
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_frozen_every_subset(self, n):
-        assert digest(hamiltonian_cycle, every_subset(n)) == CYCLE_DIGESTS[n]
-
-    def test_frozen_random_subsets(self):
-        assert digest(hamiltonian_cycle, random_subsets(3000)) == CYCLE_DIGESTS["random"]
+                for k in kings(t):
+                    if brute_strong(t):
+                        assert_valid_cycle(t, build_chain(t, k).cycles[-1], range(n))
+                    else:
+                        with pytest.raises(NotStrongError):
+                            build_chain(t, k)
 
     def test_random_strong_subsets(self):
+        # The induced subtournament, relabelled 0..m-1, gives the subset's cycle.
         rng = random.Random(12)
         found = 0
         while found < 150:
             n = rng.randint(3, 30)
             t = random_tournament(n, rng.randint(0, 10**6))
             subset = [v for v in range(n) if rng.random() < 0.7]
-            if len(subset) in (0, 2) or not brute_strong_subset(t, subset):
+            if len(subset) < 3 or not brute_strong_subset(t, subset):
                 continue
             found += 1
-            cycle = hamiltonian_cycle(t, subset)
-            if len(subset) == 1:
-                assert cycle == tuple(subset)
-            else:
-                assert_valid_cycle(t, cycle, subset)
+            m = len(subset)
+            pairs = itertools.permutations(range(m), 2)
+            s = from_edge_list(m, [(i, j) for i, j in pairs if t.beats(subset[i], subset[j])])
+            cycle = tuple(subset[i] for i in build_chain(s, kings(s)[0]).cycles[-1])
+            assert_valid_cycle(t, cycle, subset)
 
 
 class TestPathEndingAt:
@@ -211,23 +206,31 @@ class TestPathEndingAt:
         assert path_ending_at(t4a, [3], 3) == (3,)
 
     def test_three_cycle_rotation(self, three_cycle):
+        # 0 beats no path vertex on the first sweep, so it waits for the second.
         assert path_ending_at(three_cycle, [0, 1, 2], 2) == (0, 1, 2)
 
     def test_target_not_in_subset(self, t4a):
         with pytest.raises(TargetNotInSubsetError):
             path_ending_at(t4a, [0, 1, 2], 3)
 
-    def test_not_strong(self, transitive_triangle, t4a):
-        with pytest.raises(NotStrongSubsetError):
+    def test_not_strong(self, transitive_triangle):
+        with pytest.raises(NotStrongSubsetError) as info:
             path_ending_at(transitive_triangle, [0, 1, 2], 1)
-        # The subset is checked before the target: {0, 2, 3} is transitive in
-        # t4a, so that error wins over target 1 lying outside it.
-        with pytest.raises(NotStrongSubsetError):
+        assert str(info.value) == "vertex 2 does not reach target 1"
+
+    def test_target_is_checked_before_reach(self, t4a):
+        # {0, 2, 3} is transitive in t4a, and target 1 lies outside it.
+        with pytest.raises(TargetNotInSubsetError):
             path_ending_at(t4a, [0, 2, 3], 1)
 
-    def test_two_vertex_subset_is_never_strong(self, t4a):
-        with pytest.raises(NotStrongSubsetError):
-            path_ending_at(t4a, [0, 1], 1)
+    def test_sink_ends_a_path_of_a_subset_that_is_not_strong(self, transitive_triangle):
+        assert path_ending_at(transitive_triangle, [0, 1, 2], 2) == (0, 1, 2)
+
+    def test_two_vertex_subset_ends_at_its_beaten_vertex(self, t4a):
+        assert path_ending_at(t4a, [0, 1], 1) == (0, 1)
+        with pytest.raises(NotStrongSubsetError) as info:
+            path_ending_at(t4a, [0, 1], 0)
+        assert str(info.value) == "vertex 1 does not reach target 0"
 
     def test_always_ends_at_target(self):
         rng = random.Random(13)
@@ -243,6 +246,15 @@ class TestPathEndingAt:
             path = path_ending_at(t, subset, target)
             assert path[-1] == target
             assert_valid_path(t, path, subset)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_reference_every_subset(self, n):
+        calls = with_targets(every_subset(n), every=True)
+        assert digest(checked_path_ending_at, calls) == ENDING_DIGESTS[n]
+
+    def test_matches_reference_random_subsets(self):
+        calls = with_targets(random_subsets(3000), every=False)
+        assert digest(checked_path_ending_at, calls) == ENDING_DIGESTS["random"]
 
 
 class TestSpliceSlot:

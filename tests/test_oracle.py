@@ -354,12 +354,15 @@ class TestOracleIndependence:
             (kingchain.analysis, "kings"),
             (kingchain.analysis, "is_strong"),
             (kingchain.analysis, "condensation"),
+            (kingchain.analysis, "king_context"),
             (kingchain.hamilton, "hamiltonian_path"),
-            (kingchain.hamilton, "hamiltonian_cycle"),
             (kingchain.hamilton, "path_ending_at"),
+            (kingchain.hamilton, "splice_slot"),
             (kingchain.chain, "build_chain"),
             (kingchain.chain, "extend_cycle"),
             (kingchain.chain, "find_exit_edge"),
+            (kingchain.chain, "spine_path"),
+            (kingchain.chain, "build_ladder"),
             (kingchain.oracle, "build_chain"),
             (kingchain.oracle, "is_strong"),
         ]:
