@@ -26,10 +26,6 @@ class KingContext:
     out_set: tuple[int, ...]
     in_set: tuple[int, ...]
 
-    @property
-    def out_degree(self) -> int:
-        return len(self.out_set)
-
 
 def is_strong(t: Tournament) -> bool:
     """True iff every vertex reaches every other; a single vertex is strong."""

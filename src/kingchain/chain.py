@@ -7,13 +7,13 @@ subtournament induced by every cycle's vertex set. The steps:
 
   1. Split the vertices around k into its out-set and in-set and condense
      the out-set into domination-ordered strong blocks.
-  2. Find an exit edge from the last block into the in-set by following a
-     shortest path from the last block back to k; the path stays inside the
-     last block up to the exit edge, since that block beats no other
-     out-set vertex. No such edge exists exactly when the tournament is
-     not strong, so this step is also the strong test.
+  2. Find an exit edge from the last block into the in-set: the lowest
+     last-block vertex with an in-set out-neighbor, and its lowest one. No
+     such edge exists exactly when the tournament is not strong, so this
+     step is also the strong test.
   3. Lay a spine: a Hamiltonian path through the whole out-set ending at the
-     exit edge's tail.
+     exit edge's tail, by Rédei's rule toward it. Every out-set vertex
+     reaches the last block, which is strong, so reaches that tail.
   4. Build the ladder: cycle i+2 is k, the last i spine vertices, the exit
      head, back to k. Consecutive ladder cycles differ by one vertex
      prepended right after k.
@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .analysis import KingContext, condensation, king_context
-from .core import Tournament, edge_rows, from_edge_list, mask_to_vertices
+from .core import Tournament, edge_rows, from_edge_list
 from .errors import (
     CycleAlreadySpanningError,
     MalformedCertificateError,
     NotStrongError,
 )
-from .hamilton import hamiltonian_path, path_ending_at, splice_slot
+from .hamilton import path_ending_at, splice_slot
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,11 @@ class CycleChain:
 def find_exit_edge(
     t: Tournament, ctx: KingContext, blocks: tuple[tuple[int, ...], ...]
 ) -> ExitEdge:
-    """Locate the exit edge on a shortest path from the last block to the king.
+    """The lowest last-block vertex with an in-set out-neighbor, and its lowest one.
 
-    Breadth-first search from the lowest vertex of the last block, bounded
-    by the king's out-set, neighbors in ascending order, stays inside that
-    block: every edge leaving the last block of the out-set enters the
-    in-set, and every in-set vertex beats the king. The first dequeued
-    vertex with an in-set out-neighbor is the tail; its lowest such
-    out-neighbor is the head.
+    Any such vertex serves as the tail: the last block is strong, so every
+    one of its vertices ends a Hamiltonian path of the out-set (Camion 1959,
+    and Rédei's rule toward it).
 
     The last block has no edge into the in-set exactly when the tournament
     is not strong, and then `NotStrongError` is raised. That block beats no
@@ -99,19 +96,11 @@ def find_exit_edge(
     king; losing to every other vertex, it is the out-set's last block.
     """
     out_masks = t.out_masks
-    out_set = out_masks[ctx.king]
-    in_mask = ~(out_set | 1 << ctx.king)
-    # Dequeue in discovery order; scanning each level in ascending index
-    # instead would pick a different tail on some tournaments.
-    queue = [blocks[-1][0]]
-    seen = 1 << queue[0]
-    for v in queue:
+    in_mask = ~(out_masks[ctx.king] | 1 << ctx.king)
+    for v in blocks[-1]:
         hits = out_masks[v] & in_mask
         if hits:
             return ExitEdge(tail=v, head=(hits & -hits).bit_length() - 1)
-        fresh = out_masks[v] & out_set & ~seen
-        seen |= fresh
-        queue.extend(mask_to_vertices(fresh))
     raise NotStrongError("tournament is not strongly connected")
 
 
@@ -123,14 +112,11 @@ def spine_path(
 ) -> tuple[int, ...]:
     """Hamiltonian path through the whole out-set ending at the exit tail.
 
-    A path through the union of all blocks but the last concatenates with a
-    path through the last block: every edge between an earlier block and the
-    last one points into the last one.
+    Every out-set vertex reaches the last block, which is strong, so reaches
+    the tail, and Rédei's rule toward it spans the out-set. `blocks` is
+    unused; it stays until the benchmark's traced replay stops passing it.
     """
-    front = [v for block in blocks[:-1] for v in block]
-    lead: tuple[int, ...] = hamiltonian_path(t, front) if front else ()
-    rear = path_ending_at(t, blocks[-1], exit_edge.tail)
-    return lead + rear
+    return path_ending_at(t, ctx.out_set, exit_edge.tail)
 
 
 def build_ladder(

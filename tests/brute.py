@@ -15,7 +15,6 @@ oracle's inductive verifier.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 from kingchain.core import Tournament
 from kingchain.errors import (
@@ -163,20 +162,16 @@ def brute_components(t, subset) -> list[set[int]]:
     return components
 
 
-def brute_exit_edge(t, king: int, start: int) -> tuple[int, int]:
-    """Last two vertices before the king on the breadth-first shortest path
-    from `start`, neighbors visited in ascending order."""
+def brute_exit_edge(t, king: int) -> tuple[int, int]:
+    """Lowest edge (a, b), by a then b, from the last strong block of the king's
+    out-set, the component that beats no other out-set vertex, into the in-set."""
     adj = adjacency(t)
-    parent = {start: start}
-    queue = deque([start])
-    while king not in parent:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    head = parent[king]
-    return parent[head], head
+    out_set = adj[king]
+    in_set = set(range(t.n)) - out_set - {king}
+    last = next(
+        c for c in brute_components(t, out_set) if not any(adj[v] & (out_set - c) for v in c)
+    )
+    return min((a, b) for a in last for b in adj[a] & in_set)
 
 
 def near_transitive(n: int, p: float, rng) -> list[tuple[int, int]]:

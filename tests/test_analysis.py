@@ -151,13 +151,13 @@ class TestKings:
 class TestKingContext:
     def test_three_cycle(self, three_cycle):
         ctx = king_context(three_cycle, 0)
-        assert (ctx.out_set, ctx.in_set, ctx.out_degree) == ((1,), (2,), 1)
+        assert (ctx.out_set, ctx.in_set, len(ctx.out_set)) == ((1,), (2,), 1)
 
     def test_t4a(self, t4a):
         ctx = king_context(t4a, 1)
         assert ctx.out_set == (2, 3)
         assert ctx.in_set == (0,)
-        assert ctx.out_degree == 2
+        assert len(ctx.out_set) == 2
 
     def test_not_a_king(self, t4a):
         with pytest.raises(NotAKingError):

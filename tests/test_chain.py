@@ -1,5 +1,6 @@
 """Tests for the cycle-chain construction and its certificate format."""
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -17,10 +18,12 @@ from kingchain import (
     extend_cycle,
     find_exit_edge,
     from_edge_list,
+    hamiltonian_path,
     is_strong,
     king_context,
     kings,
     loads_certificate,
+    path_ending_at,
     random_strong_tournament,
     spine_path,
 )
@@ -48,6 +51,23 @@ def context_and_blocks(t, k):
     return ctx, condensation(t, ctx.out_set)
 
 
+def every_strong_pair():
+    """Every king of every strong tournament of order 3-6: 91,238 pairs."""
+    for n in range(3, 7):
+        for t in filter(is_strong, enumerate_all(n)):
+            yield from ((t, k) for k in kings(t))
+
+
+def near_transitive_pairs(rng, trials, max_n):
+    """Every king of the strong ones among `trials` near-transitive tournaments,
+    whose out-sets have many blocks."""
+    for _ in range(trials):
+        n = rng.randint(3, max_n)
+        t = from_edge_list(n, near_transitive(n, 0.9, rng))
+        if is_strong(t):
+            yield from ((t, k) for k in kings(t))
+
+
 class TestFindExitEdge:
     def test_three_cycle_forced(self, three_cycle):
         ctx, blocks = context_and_blocks(three_cycle, 0)
@@ -58,30 +78,23 @@ class TestFindExitEdge:
         assert find_exit_edge(t4a, ctx, blocks) == ExitEdge(tail=3, head=0)
 
     def test_exit_edge_wellformed(self):
-        # Near-transitive inputs put the exit tail deeper inside the last
-        # block, where the search order decides which tail comes first.
         rng = random.Random(21)
-        for trial in range(240):
-            if trial < 80:
-                t = random_strong_tournament(rng.randint(3, 25), rng.randint(0, 10**6))
-            else:
-                n = rng.randint(3, 40)
-                t = from_edge_list(n, near_transitive(n, 0.9, rng))
-                if not is_strong(t):
-                    continue
-            for k in kings(t):
-                ctx, blocks = context_and_blocks(t, k)
-                exit_edge = find_exit_edge(t, ctx, blocks)
-                assert exit_edge.tail in blocks[-1]
-                assert exit_edge.head in ctx.in_set
-                assert t.beats(exit_edge.tail, exit_edge.head)
-                assert t.beats(exit_edge.head, k)
-                # Shortest-path minimality: a direct edge from the scan start
-                # into the in-set forces the degenerate two-edge shape.
-                start = blocks[-1][0]
-                if any(t.beats(start, b) for b in ctx.in_set):
-                    assert exit_edge.tail == start
-                assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k, start)
+        randoms = [
+            random_strong_tournament(rng.randint(3, 25), rng.randint(0, 10**6)) for _ in range(80)
+        ]
+        pairs = itertools.chain(
+            every_strong_pair(),
+            ((t, k) for t in randoms for k in kings(t)),
+            near_transitive_pairs(rng, 160, 40),
+        )
+        for t, k in pairs:
+            ctx, blocks = context_and_blocks(t, k)
+            exit_edge = find_exit_edge(t, ctx, blocks)
+            assert exit_edge.tail in blocks[-1]
+            assert exit_edge.head in ctx.in_set
+            assert t.beats(exit_edge.tail, exit_edge.head)
+            assert t.beats(exit_edge.head, k)
+            assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k)
 
 
 class TestSpinePath:
@@ -108,6 +121,22 @@ class TestSpinePath:
             assert spine[-1] == exit_edge.tail
             for u, v in zip(spine, spine[1:]):
                 assert t.beats(u, v)
+
+    def test_is_a_front_path_then_a_last_block_path(self):
+        # Rédei's rule toward the tail never defers an earlier-block vertex,
+        # which beats the whole last block, so the spine splits at that block.
+        # The benchmark's traced replay checks the same split; at n=200 the
+        # out-set is one block, so only small and near-transitive inputs test it.
+        pairs = itertools.chain(
+            every_strong_pair(), near_transitive_pairs(random.Random(29), 300, 60)
+        )
+        for t, k in pairs:
+            ctx, blocks = context_and_blocks(t, k)
+            exit_edge = find_exit_edge(t, ctx, blocks)
+            front = [v for block in blocks[:-1] for v in block]
+            lead = hamiltonian_path(t, front) if front else ()
+            rear = path_ending_at(t, blocks[-1], exit_edge.tail)
+            assert spine_path(t, ctx, blocks, exit_edge) == lead + rear
 
 
 class TestBuildLadder:
@@ -174,21 +203,13 @@ class TestExtendCycle:
         # build_chain splices the in-set minus the exit head in ascending
         # order, and extend_cycle splices the lowest missing vertex. From the
         # ladder's last cycle on, both must give the same cycles and records.
-        def pairs():
-            for n in range(3, 7):
-                for t in filter(is_strong, enumerate_all(n)):
-                    yield from ((t, k) for k in kings(t))
-            rng = random.Random(28)
-            for _ in range(300):
-                n = rng.randint(3, 60)
-                t = from_edge_list(n, near_transitive(n, 0.9, rng))
-                if is_strong(t):
-                    yield from ((t, k) for k in kings(t))
-
+        pairs = itertools.chain(
+            every_strong_pair(), near_transitive_pairs(random.Random(28), 300, 60)
+        )
         checked = extended = 0
-        for t, k in pairs():
+        for t, k in pairs:
             chain = build_chain(t, k)
-            d = chain.context.out_degree
+            d = len(chain.context.out_set)
             cycles, inserts = list(chain.cycles[:d]), list(chain.insertions[: d - 1])
             while len(cycles[-1]) < t.n:
                 cycle, rec = extend_cycle(t, chain.context, cycles[-1])
@@ -246,7 +267,7 @@ class TestBuildChain:
             t = random_strong_tournament(n, rng.randint(0, 10**6))
             for k in kings(t):
                 chain = build_chain(t, k)
-                d = chain.context.out_degree
+                d = len(chain.context.out_set)
                 assert [len(c) for c in chain.cycles] == list(range(3, n + 1))
                 for cyc in chain.cycles:
                     assert cyc[0] == k

@@ -5,9 +5,11 @@ certificate, the hash taken over `dumps_certificate(t, build_chain(t, k))`
 for `t = random_strong_tournament(n, seed)`. The grid is every king for
 n = 3..12 with seeds 0..4, every king for n = 50 seed 0, and every 20th
 king for n = 200 seed 0. The hashes were recorded before the construction
-was refactored, and regenerated once, when the spine's rear path became
-Rédei's rule toward the exit tail; regenerating them changes the certificate
-format and needs its own change, never a refactor that fails this test.
+was refactored, and regenerated twice: when the spine's rear path became
+Rédei's rule toward the exit tail, and when the exit tail became the lowest
+last-block vertex with an in-set out-neighbor. Regenerating them changes the
+certificate format and needs its own change, never a refactor that fails
+this test.
 """
 
 import hashlib
