@@ -14,12 +14,16 @@ subtournament induced by every cycle's vertex set. The steps:
   3. Lay a spine: a Hamiltonian path through the whole out-set ending at the
      exit edge's tail, by Rédei's rule toward it. Every out-set vertex
      reaches the last block, which is strong, so reaches that tail.
-  4. Build the ladder: cycle i+2 is k, the last i spine vertices, the exit
-     head, back to k. Consecutive ladder cycles differ by one vertex
-     prepended right after k.
-  5. Extend past the ladder one vertex at a time; every leftover vertex is
-     in the in-set, so it points back at k and some cycle vertex beats it,
-     which guarantees a splice slot.
+  4. Start from C3 = (k, spine tail, exit head) and splice one vertex at a
+     time on a successor array: the spine, last but one back to first, then
+     the in-set minus the exit head in ascending order. Each splice walks
+     the cycle from k to the first edge (x, y) with x -> z -> y and sets
+     succ[x], succ[z] = z, y, which the record (x, y, z) keeps. A spine
+     vertex takes the king's own edge, since k beats it and it beats the
+     spine vertex after it. An in-set vertex points back at k, and by
+     kingship an out-set vertex on the cycle beats it, so it has a slot.
+  5. The chain is C3 plus those records; the cycles C3..Cn are a view that
+     builds its tuples from them on the first read.
 
 No step re-checks strong connectivity up front. Every choice is
 lowest-index-first, so certificates are reproducible byte for byte.
@@ -29,13 +33,15 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .analysis import KingContext, condensation, king_context
 from .core import Tournament, edge_rows, from_edge_list
 from .errors import (
     CycleAlreadySpanningError,
+    InternalContradictionError,
     MalformedCertificateError,
     NotStrongError,
 )
@@ -62,16 +68,71 @@ class Insertion(NamedTuple):
     z: int
 
 
+class SplicedCycles(Sequence):
+    """The cycles C3..Cn of a chain, read off C3 and its insertion records.
+
+    C_{i+1} is C_i with z spliced in right after x, for the record (x, y, z)
+    that links them. The tuples are built once, on the first read; `len`
+    needs none. It reads as a tuple of tuples: a slice is a tuple, and it
+    compares and hashes like the tuple it stands for. A record whose x is
+    not on the cycle before it raises `MalformedCertificateError` on that
+    first read.
+    """
+
+    __slots__ = ("c3", "records", "_cycles")
+
+    def __init__(self, c3: tuple[int, ...], records: tuple[Insertion, ...]):
+        self.c3 = c3
+        self.records = records
+        self._cycles: tuple[tuple[int, ...], ...] | None = None
+
+    def _derive(self) -> tuple[tuple[int, ...], ...]:
+        if self._cycles is None:
+            cycle = list(self.c3)
+            cycles = [self.c3]
+            for j, (x, _, z) in enumerate(self.records, 3):
+                try:
+                    cycle.insert(cycle.index(x) + 1, z)
+                except ValueError:
+                    raise MalformedCertificateError(
+                        f"C{j}->C{j + 1}: vertex {x} not on C{j}"
+                    ) from None
+                cycles.append(tuple(cycle))
+            self._cycles = tuple(cycles)
+        return self._cycles
+
+    def __len__(self) -> int:
+        return len(self.records) + 1
+
+    def __getitem__(self, index):
+        return self._derive()[index]
+
+    def __iter__(self):
+        return iter(self._derive())
+
+    def __eq__(self, other) -> bool:
+        return self._derive() == other
+
+    def __hash__(self) -> int:
+        return hash(self._derive())
+
+    def __repr__(self) -> str:
+        return f"SplicedCycles({self.c3!r}, {self.records!r})"
+
+
 @dataclass(frozen=True)
 class CycleChain:
     """Full certificate of one construction run.
 
-    cycles[i] has length i + 3, starts at the king, and its vertex set grows
-    by exactly insertions[i - 1].z from cycles[i - 1].
+    cycles[i] has length i + 3 and its vertex set grows by exactly
+    insertions[i - 1].z from cycles[i - 1]. `build_chain` gives a
+    `SplicedCycles` over the very tuple it gives as `insertions`, so its
+    cycles start at the king and cost nothing until read;
+    `loads_certificate` gives the tuples the file holds.
     """
 
     king: int
-    cycles: tuple[tuple[int, ...], ...]
+    cycles: Sequence[tuple[int, ...]]
     insertions: tuple[Insertion, ...]
     context: KingContext
     blocks: tuple[tuple[int, ...], ...]
@@ -168,26 +229,38 @@ def extend_cycle(
 def build_chain(t: Tournament, k: int) -> CycleChain:
     """Run the whole construction for king k of a strong tournament.
 
-    Returns the certificate: cycles C_3..C_n, the insertion linking each
-    cycle to the next, and the intermediate construction data. The ladder
-    leaves out exactly the in-set minus the exit head; they are spliced in
-    ascending order, which is what repeated `extend_cycle` calls do.
+    Returns the certificate: C3, the insertion linking each cycle to the
+    next, the cycles as a view over both, and the intermediate construction
+    data. From C3 on, the spine is spliced last but one back to first, and
+    then the in-set minus the exit head in ascending order, each into the
+    first edge from the king that accepts it.
     """
     ctx = king_context(t, k)
     blocks = condensation(t, ctx.out_set)
     exit_edge = find_exit_edge(t, ctx, blocks)
     spine = spine_path(t, ctx, blocks, exit_edge)
-    cycles, inserts = build_ladder(ctx, spine, exit_edge)
-    current = cycles[-1]
-    for z in ctx.in_set:
-        if z != exit_edge.head:
-            current, record = _splice(t, current, z)
-            cycles.append(current)
-            inserts.append(record)
+    head = exit_edge.head
+    out_masks = t.out_masks
+    succ = [0] * t.n
+    succ[k], succ[spine[-1]], succ[head] = spine[-1], head, k
+    records = []
+    rest = [v for v in ctx.in_set if v != head]
+    for size, z in enumerate(itertools.chain(spine[-2::-1], rest), 3):
+        zm, x = out_masks[z], k
+        for _ in range(size):
+            y = succ[x]
+            if out_masks[x] >> z & 1 and zm >> y & 1:
+                break
+            x = y
+        else:
+            raise InternalContradictionError(f"no insertion slot for vertex {z}")
+        succ[x], succ[z] = z, y
+        records.append(Insertion(x, y, z))
+    records = tuple(records)
     return CycleChain(
         king=k,
-        cycles=tuple(cycles),
-        insertions=tuple(inserts),
+        cycles=SplicedCycles((k, spine[-1], head), records),
+        insertions=records,
         context=ctx,
         blocks=blocks,
         exit_edge=exit_edge,

@@ -6,10 +6,11 @@ pair at a time through `brute_out_masks` and never the package's unpacked
 `out_masks`, with plain dict/set graph traversal, so a bug in the package's
 bitmask machinery cannot hide behind itself. `brute_out_masks` is also the
 reference for the unpacking in `Tournament`, `brute_read` for the readers
-`from_edge_list` and `parse_text`, and `certificate_json` for the
-certificate writer. The exception is `brute_verify_chain`, which
-rechecks every cycle literally on `t.out_masks`, as the reference for the
-oracle's inductive verifier.
+`from_edge_list` and `parse_text`, `certificate_json` for the certificate
+writer, and `brute_cycles` for the cycles view that `build_chain` lays over
+C3 and its records. The exception is `brute_verify_chain`, which rechecks
+every cycle literally on `t.out_masks`, as the reference for the oracle's
+inductive verifier.
 """
 
 from __future__ import annotations
@@ -144,10 +145,13 @@ def brute_kings(t) -> tuple[int, ...]:
     return tuple(result)
 
 
-def brute_components(t, subset) -> list[set[int]]:
-    """Strong components of the induced subtournament, unordered."""
+def brute_components(t, subset, adj=None) -> list[set[int]]:
+    """Strong components of the induced subtournament, unordered; `adj` is
+    `adjacency(t)`, passed in by a caller that has built it already."""
     verts = set(subset)
-    adj = {v: nbrs & verts for v, nbrs in adjacency(t).items() if v in verts}
+    if adj is None:
+        adj = adjacency(t)
+    adj = {v: nbrs & verts for v, nbrs in adj.items() if v in verts}
     radj: dict[int, set[int]] = {v: set() for v in verts}
     for u, nbrs in adj.items():
         for v in nbrs:
@@ -169,9 +173,20 @@ def brute_exit_edge(t, king: int) -> tuple[int, int]:
     out_set = adj[king]
     in_set = set(range(t.n)) - out_set - {king}
     last = next(
-        c for c in brute_components(t, out_set) if not any(adj[v] & (out_set - c) for v in c)
+        c for c in brute_components(t, out_set, adj) if not any(adj[v] & (out_set - c) for v in c)
     )
     return min((a, b) for a in last for b in adj[a] & in_set)
+
+
+def brute_cycles(c3, records) -> tuple[tuple[int, ...], ...]:
+    """C3, then each cycle before with the record's z spliced in right after
+    its x, by slices: the reference for `chain.SplicedCycles`."""
+    cycles = [tuple(c3)]
+    for x, _, z in records:
+        prev = cycles[-1]
+        i = prev.index(x) + 1
+        cycles.append(prev[:i] + (z,) + prev[i:])
+    return tuple(cycles)
 
 
 def near_transitive(n: int, p: float, rng) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Tests for the cycle-chain construction and its certificate format."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ from kingchain import (
     random_strong_tournament,
     spine_path,
 )
+from kingchain.chain import SplicedCycles
 from kingchain.core import _MATRIX_CUT
 from kingchain.errors import (
     CycleAlreadySpanningError,
@@ -38,7 +40,14 @@ from kingchain.errors import (
     OrderTooSmallError,
 )
 
-from brute import brute_exit_edge, brute_kings, brute_strong, certificate_json, near_transitive
+from brute import (
+    brute_cycles,
+    brute_exit_edge,
+    brute_kings,
+    brute_strong,
+    certificate_json,
+    near_transitive,
+)
 
 CERTIFICATE_KEYS = {
     "n", "king", "A", "B", "reid_blocks", "a_star", "b_star",
@@ -292,6 +301,70 @@ class TestBuildChain:
             second = build_chain(t, k)
             assert first == second
             assert dumps_certificate(t, first) == dumps_certificate(t, second)
+
+
+class TestSplicedCycles:
+    """build_chain's cycles view against the slice-based brute_cycles."""
+
+    @staticmethod
+    def chains():
+        for n in (3, 4, 5):
+            for t in filter(is_strong, enumerate_all(n)):
+                yield from (build_chain(t, k) for k in kings(t))
+        rng = random.Random(30)
+        for _ in range(30):
+            t = random_strong_tournament(rng.randint(6, 60), rng.randint(0, 10**6))
+            yield build_chain(t, kings(t)[0])
+
+    def test_reads_as_the_tuple_of_its_splices(self):
+        for chain in self.chains():
+            view = chain.cycles
+            assert type(view) is SplicedCycles and view.records is chain.insertions
+            want = brute_cycles(view.c3, chain.insertions)
+            size = len(want)
+            assert len(view) == size
+            assert [*view] == [*want]
+            assert [view[i] for i in range(-size, size)] == [want[i] for i in range(-size, size)]
+            with pytest.raises(IndexError):
+                view[size]
+            parts = (slice(3), slice(1, None), slice(None, None, -1), slice(-2, None), slice(4, 1))
+            for part in parts:
+                assert type(view[part]) is tuple and view[part] == want[part]
+            assert view[:3] + ((0,),) == want[:3] + ((0,),)
+            assert view == want and want == view and not view != want
+            assert view != list(want) and view != want[:-1] + ((0,),)
+            assert hash(view) == hash(want)
+            # The certificate is a frozen dataclass: it compares and hashes
+            # like the same chain holding plain tuples.
+            plain = dataclasses.replace(chain, cycles=want)
+            assert chain == plain and plain == chain and hash(chain) == hash(plain)
+
+    def test_hand_made_records(self):
+        # A record whose z is already on the cycle splices it in again; the
+        # oracle, not the view, judges the records.
+        c3, records = (0, 1, 2), (Insertion(0, 1, 3), Insertion(2, 0, 1), Insertion(1, 3, 4))
+        view = SplicedCycles(c3, records)
+        want = ((0, 1, 2), (0, 3, 1, 2), (0, 3, 1, 2, 1), (0, 3, 1, 4, 2, 1))
+        assert view == brute_cycles(c3, records) == want
+        assert view == SplicedCycles(c3, records) and view != SplicedCycles(c3, records[:2])
+
+    def test_length_reads_no_cycle(self):
+        view = SplicedCycles((0, 1, 2), (Insertion(0, 1, 3), Insertion(7, 0, 4)))
+        assert len(view) == 3
+        with pytest.raises(MalformedCertificateError) as info:
+            view[0]
+        assert str(info.value) == "C4->C5: vertex 7 not on C4"
+
+    def test_iterates_without_indexing(self, monkeypatch):
+        # The Sequence mixin would iterate by indexing until IndexError.
+        t = random_strong_tournament(30, 1)
+        chain = build_chain(t, kings(t)[0])
+
+        def boom(*args):
+            raise AssertionError("iterated by indexing")
+
+        monkeypatch.setattr(SplicedCycles, "__getitem__", boom)
+        assert tuple(chain.cycles) == brute_cycles(chain.cycles.c3, chain.insertions)
 
 
 class TestCertificate:

@@ -1,5 +1,6 @@
 """Tests for the brute-force checker and the exhaustive/random harnesses."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -29,6 +30,7 @@ from kingchain import (
     random_tournament,
     verify_chain,
 )
+from kingchain.chain import SplicedCycles
 from kingchain.errors import (
     InternalContradictionError,
     KingNotInSubsetError,
@@ -252,6 +254,50 @@ def tampered(t, chain, rng):
         )
 
 
+def viewed(chain, c3, records):
+    """The chain with C3 and records by hand, its cycles a view over both as
+    `build_chain` lays them out."""
+    return corrupted(chain, cycles=SplicedCycles(c3, records), insertions=records)
+
+
+def view_tampered(t, chain, rng):
+    """Seeded faults in a built chain's C3 or records, its cycles still their view."""
+    c3, records, cycles = chain.cycles.c3, chain.insertions, chain.cycles
+    yield "reversed C3", viewed(chain, c3[::-1], records)
+    yield "C3 off the order", viewed(chain, c3[:2] + (t.n,), records)
+    # A C3 vertex that is not a king of t rules C3 but not the whole order,
+    # so some record splices a z outside its two-step reach.
+    royal = kings(t)
+    commoners = [v for v in c3 if v not in royal]
+    if commoners:
+        yield "z out of reach", corrupted(chain, king=rng.choice(commoners))
+    if records:
+        i = rng.randrange(len(records))
+        x, y, z = records[i]
+        on, off = set(cycles[i]), sorted(set(range(t.n)) - set(cycles[i]))
+        for kind, rec in [
+            ("stale z", Insertion(x, y, rng.choice(sorted(on)))),
+            ("wrong y", Insertion(x, rng.choice(sorted(on - {y})), z)),
+            ("x off the cycle", Insertion(rng.choice(off + [t.n]), y, z)),
+            ("z off the order", Insertion(x, y, rng.choice([-1, t.n]))),
+        ]:
+            yield kind, viewed(chain, c3, records[:i] + (rec,) + records[i + 1 :])
+
+
+def spliced_records(t, cycle, order):
+    """Records splicing `order` into `cycle`, each into the first edge from
+    its start that takes it."""
+    cycle, records = list(cycle), []
+    for z in order:
+        slot = next(
+            i for i in range(1, len(cycle) + 1)
+            if t.beats(cycle[i - 1], z) and t.beats(z, cycle[i % len(cycle)])
+        )
+        records.append(Insertion(cycle[slot - 1], cycle[slot % len(cycle)], z))
+        cycle.insert(slot, z)
+    return tuple(records)
+
+
 def outcome(verify, t, chain):
     try:
         return verify(t, chain)
@@ -318,17 +364,67 @@ class TestVerifyChainMatchesLiteral:
 
     def test_valid_chains_pass_by_induction_alone(self, monkeypatch):
         # The literal checks only explain a failure: a valid chain never
-        # reaches them, however its king's reach grows.
+        # reaches them, however its king's reach grows. A built chain's
+        # cycles view shares its records, so the replay alone decides: the
+        # given-cycles comparison never runs, and no cycle tuple is built.
         def boom(*args):
-            raise AssertionError("a valid chain was checked literally")
+            raise AssertionError("a built chain was checked past its records")
 
         monkeypatch.setattr(kingchain.oracle, "_insertion_fault", boom)
+        monkeypatch.setattr(kingchain.oracle, "_splices", boom)
+        monkeypatch.setattr(SplicedCycles, "_derive", boom)
         rng = random.Random(43)
         draws = [(rng.randint(6, 60), rng.randint(0, 10**6)) for _ in range(20)]
         sample = itertools.starmap(random_strong_tournament, draws)
         for t in filter(is_strong, itertools.chain(enumerate_all(4), enumerate_all(5), sample)):
             for k in kings(t):
                 assert verify_chain(t, build_chain(t, k)).passed
+
+    def test_hand_made_views_named_alike(self, monkeypatch):
+        # Cycles that are a view over the chain's own records are judged by
+        # the replay; when it fails, the literal checks name the fault.
+        def boom(*args):
+            raise AssertionError("a view over the chain's records was compared tuple by tuple")
+
+        monkeypatch.setattr(kingchain.oracle, "_splices", boom)
+        rng = random.Random(44)
+        kinds = collections.Counter()
+        draws = [(rng.randint(4, 40), rng.randint(0, 10**6)) for _ in range(60)]
+        sample = itertools.starmap(random_strong_tournament, draws)
+        for t in itertools.chain(filter(is_strong, enumerate_all(5)), sample):
+            for k in kings(t):
+                chain = build_chain(t, k)
+                for kind, bad in view_tampered(t, chain, rng):
+                    assert type(bad.cycles) is SplicedCycles
+                    assert bad.cycles.records is bad.insertions
+                    report = outcome(verify_chain, t, bad)
+                    assert report == outcome(brute_verify_chain, t, bad), kind
+                    assert isinstance(report, str) or not report.passed, kind
+                    kinds[kind] += 1
+        assert len(kinds) == 7
+
+    def test_view_over_other_records_is_read_as_tuples(self):
+        # Records from another valid splice order replay by themselves, but
+        # the view's cycles follow its own records: only a view over the
+        # chain's own records may skip its tuples.
+        rng = random.Random(45)
+        checked = 0
+        for _ in range(30):
+            t = random_strong_tournament(rng.randint(6, 40), rng.randint(0, 10**6))
+            chain = build_chain(t, rng.choice(kings(t)))
+            d = len(chain.context.out_set)
+            rest = [v for v in chain.context.in_set if v != chain.exit_edge.head]
+            if len(rest) < 2:
+                continue
+            backwards = spliced_records(t, chain.cycles[d - 1], rest[::-1])
+            records = chain.insertions[: d - 1] + backwards
+            assert verify_chain(t, viewed(chain, chain.cycles.c3, records)).passed
+            bad = corrupted(chain, insertions=records)
+            report = verify_chain(t, bad)
+            assert report == brute_verify_chain(t, bad)
+            assert not report.passed
+            checked += 1
+        assert checked > 20
 
     def test_unspliced_cycle_still_passes(self):
         # Known gap, documented in README "What the oracle checks": C6 may be
@@ -344,7 +440,9 @@ class TestVerifyChainMatchesLiteral:
 
 class TestOracleIndependence:
     def test_verification_never_calls_construction_code(self, t4a, monkeypatch):
+        # A built chain replays its records; a loaded one holds its cycles.
         chain = build_chain(t4a, 1)
+        _, loaded = loads_certificate(dumps_certificate(t4a, chain))
 
         def boom(*args, **kwargs):
             raise AssertionError("oracle verification must not call this")
@@ -363,6 +461,8 @@ class TestOracleIndependence:
             (kingchain.chain, "find_exit_edge"),
             (kingchain.chain, "spine_path"),
             (kingchain.chain, "build_ladder"),
+            (kingchain.chain, "_splice"),
+            (kingchain.chain.SplicedCycles, "_derive"),
             (kingchain.oracle, "build_chain"),
             (kingchain.oracle, "is_strong"),
         ]:
@@ -370,6 +470,7 @@ class TestOracleIndependence:
 
         assert brute_is_king_of_induced(t4a, 1, [0, 1, 3])
         assert verify_chain(t4a, chain).passed
+        assert verify_chain(t4a, loaded).passed
 
 
 class TestExhaustiveCheck:
