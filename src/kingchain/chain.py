@@ -18,7 +18,8 @@ subtournament induced by every cycle's vertex set. The steps:
      time on a successor array: the spine, last but one back to first, then
      the in-set minus the exit head in ascending order. Each splice walks
      the cycle from k to the first edge (x, y) with x -> z -> y and sets
-     succ[x], succ[z] = z, y, which the record (x, y, z) keeps. A spine
+     succ[x], succ[z] = z, y, which the record (x, y, z) keeps; `_splice`
+     is that walk, and `extend_cycle` runs it too, on a cycle tuple. A spine
      vertex takes the king's own edge, since k beats it and it beats the
      spine vertex after it. An in-set vertex points back at k, and by
      kingship an out-set vertex on the cycle beats it, so it has a slot.
@@ -45,7 +46,7 @@ from .errors import (
     MalformedCertificateError,
     NotStrongError,
 )
-from .hamilton import path_ending_at, splice_slot
+from .hamilton import path_ending_at
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,19 @@ def build_ladder(
     return cycles, inserts
 
 
-def _splice(t: Tournament, cycle: tuple[int, ...], z: int) -> tuple[tuple[int, ...], Insertion]:
-    # Splice z into the first edge of the cycle that accepts it.
-    i = splice_slot(t, cycle, z) + 1
-    return cycle[:i] + (z,) + cycle[i:], Insertion(x=cycle[i - 1], y=cycle[i % len(cycle)], z=z)
+def _splice(
+    out_masks: tuple[int, ...], succ: list[int] | dict[int, int], x: int, size: int, z: int
+) -> Insertion:
+    # Walk the cycle in `succ` from x, at most `size` steps, to the first
+    # edge (x, y) with x -> z -> y, and splice z into it.
+    zm = out_masks[z]
+    for _ in range(size):
+        y = succ[x]
+        if out_masks[x] >> z & 1 and zm >> y & 1:
+            succ[x], succ[z] = z, y
+            return Insertion(x, y, z)
+        x = y
+    raise InternalContradictionError(f"no insertion slot for vertex {z}")
 
 
 def extend_cycle(
@@ -212,18 +222,17 @@ def extend_cycle(
     so every outside vertex z is an in-neighbor of the king: z points at the
     king on the cycle, and kingship supplies an out-set vertex beating z.
     Walking the cycle from the king therefore meets a switch edge (x, y)
-    with x -> z -> y.
+    with x -> z -> y. The walk is `build_chain`'s, on the cycle's successors.
     """
-    n = t.n
-    if len(cycle) == n:
+    if len(cycle) == t.n:
         raise CycleAlreadySpanningError("cycle already visits every vertex")
     if cycle[0] != ctx.king:
         raise ValueError("cycle must start at the king")
-    present = 0
-    for v in cycle:
-        present |= 1 << v
-    missing = ((1 << n) - 1) & ~present
-    return _splice(t, cycle, (missing & -missing).bit_length() - 1)
+    succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    z = next(v for v in range(t.n) if v not in succ)
+    record = _splice(t.out_masks, succ, ctx.king, len(cycle), z)
+    i = cycle.index(record.x) + 1
+    return cycle[:i] + (z,) + cycle[i:], record
 
 
 def build_chain(t: Tournament, k: int) -> CycleChain:
@@ -243,20 +252,11 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     out_masks = t.out_masks
     succ = [0] * t.n
     succ[k], succ[spine[-1]], succ[head] = spine[-1], head, k
-    records = []
     rest = [v for v in ctx.in_set if v != head]
-    for size, z in enumerate(itertools.chain(spine[-2::-1], rest), 3):
-        zm, x = out_masks[z], k
-        for _ in range(size):
-            y = succ[x]
-            if out_masks[x] >> z & 1 and zm >> y & 1:
-                break
-            x = y
-        else:
-            raise InternalContradictionError(f"no insertion slot for vertex {z}")
-        succ[x], succ[z] = z, y
-        records.append(Insertion(x, y, z))
-    records = tuple(records)
+    records = tuple(
+        _splice(out_masks, succ, k, size, z)
+        for size, z in enumerate(itertools.chain(spine[-2::-1], rest), 3)
+    )
     return CycleChain(
         king=k,
         cycles=SplicedCycles((k, spine[-1], head), records),

@@ -1,4 +1,4 @@
-"""Hamiltonian paths inside tournaments, and the splice slot of a cycle.
+"""Hamiltonian paths inside tournaments.
 
 Every tournament has a Hamiltonian path, built here by Rédei's insertion
 rule (1934). Read toward a target, the same rule gives a path ending at any
@@ -10,14 +10,10 @@ needs no algorithm of its own: `build_chain(t, k).cycles[-1]` is one.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import Tournament, checked_subset
-from .errors import (
-    InternalContradictionError,
-    NotStrongSubsetError,
-    TargetNotInSubsetError,
-)
+from .errors import NotStrongSubsetError, TargetNotInSubsetError
 
 
 def _insert(out_masks: tuple[int, ...], path: list[int], v: int) -> None:
@@ -78,16 +74,3 @@ def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[i
         waiting = deferred
     return tuple(path)
 
-
-def splice_slot(t: Tournament, cycle: Sequence[int], z: int) -> int:
-    """First i with cycle[i] -> z -> cycle[i + 1], wrapping round at the end.
-
-    One exists whenever z beats some cycle vertex and loses to another.
-    """
-    out_masks = t.out_masks
-    zm = out_masks[z]
-    size = len(cycle)
-    for i in range(size):
-        if out_masks[cycle[i]] >> z & 1 and zm >> cycle[(i + 1) % size] & 1:
-            return i
-    raise InternalContradictionError(f"no insertion slot for vertex {z}")

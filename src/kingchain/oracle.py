@@ -190,14 +190,15 @@ def _replays(
     return True
 
 
-def _splices(cycles: Sequence[tuple], records: Sequence[tuple]) -> bool:
-    # Each given cycle is the one before with z spliced in right after x.
-    # Asked only once the records replay, so x is on the cycle before.
-    for prev, cyc, (x, _, z) in zip(cycles, cycles[1:], records):
+def _unspliced(cycles: Sequence[tuple], records: Sequence[tuple]) -> int | None:
+    # Index of the first link whose later cycle is not the one before with z
+    # spliced in right after x, or None. Asked only once every x is on the
+    # cycle before it.
+    for j, (prev, cyc, (x, _, z)) in enumerate(zip(cycles, cycles[1:], records)):
         i = prev.index(x) + 1
         if cyc != prev[:i] + (z,) + prev[i:]:
-            return False
-    return True
+            return j
+    return None
 
 
 def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
@@ -207,7 +208,8 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     the king, and the king rules its induced subtournament. Per consecutive
     pair: the recorded edge (x, y) is consecutive in the earlier cycle, the
     edges x -> z and z -> y exist, z is fresh, and the later cycle's vertex
-    set is exactly the earlier one's plus z.
+    set is exactly the earlier one's plus z; once all of those hold, each
+    later cycle is the earlier one with z spliced in right after x.
 
     The paper's induction decides a pass, and the literal checks only
     explain a failure. A chain whose C3 is a directed 3-cycle through the
@@ -218,11 +220,12 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     chain's own `insertions`, as `build_chain` gives, are that splice by
     definition, so the replay alone decides and no cycle tuple is read;
     any other cycles must also equal the splice, tuple by tuple. Any other
-    chain gets every clause checked literally, end to end, so every verdict
-    and message is the literal one. At n = 1000 a failing chain costs about
-    0.2 s, a passing loaded one 7.5 ms and a passing built one 0.7 ms. A
-    vertex outside the order raises `MalformedCertificateError` naming the
-    first such cycle vertex, or failing that the first such insertion vertex.
+    chain gets every clause checked literally, end to end and the splice
+    last, so every verdict and message is the literal one. At n = 1000 a
+    failing chain costs about 0.2 s, a passing loaded one 7.5 ms and a
+    passing built one 0.7 ms. A vertex outside the order raises
+    `MalformedCertificateError` naming the first such cycle vertex, or
+    failing that the first such insertion vertex.
     """
     n = t.n
     k = chain.king
@@ -247,7 +250,7 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     else:
         # Tuples, so a cycle given as a list splices and compares like one.
         cycles = tuple(map(tuple, cycles))
-        passed = _replays(out_masks, k, cycles[0], records) and _splices(cycles, records)
+        passed = _replays(out_masks, k, cycles[0], records) and _unspliced(cycles, records) is None
     if passed:
         checks = tuple(map(_passed_check, range(3, n + 1)))
         return VerificationReport(checks, (True,) * len(records), True, None)
@@ -270,8 +273,14 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     failures = [_cycle_fault(c, k, len(cyc)) for c, cyc in zip(checks, cycles) if not c.passed]
     failures += [f"C{j + 3}->C{j + 4}: {f}" for j, f in enumerate(faults) if f is not None]
     first_failure = failures[0] if failures else None
-    linked = tuple(f is None for f in faults)
-    return VerificationReport(tuple(checks), linked, first_failure is None, first_failure)
+    linked = [f is None for f in faults]
+    # With every literal clause holding, the replay failed on an unspliced cycle.
+    j = None if failures else _unspliced(cycles, records)
+    if j is not None:
+        x, _, z = records[j]
+        linked[j] = False
+        first_failure = f"C{j + 3}->C{j + 4}: C{j + 4} is not C{j + 3} with {z} spliced after {x}"
+    return VerificationReport(tuple(checks), tuple(linked), first_failure is None, first_failure)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ pair at a time through `brute_out_masks` and never the package's unpacked
 bitmask machinery cannot hide behind itself. `brute_out_masks` is also the
 reference for the unpacking in `Tournament`, `brute_read` for the readers
 `from_edge_list` and `parse_text`, `certificate_json` for the certificate
-writer, and `brute_cycles` for the cycles view that `build_chain` lays over
-C3 and its records. The exception is `brute_verify_chain`, which rechecks
+writer, `brute_cycles` for the cycles view that `build_chain` lays over
+C3 and its records, and `brute_records` for the splice walk that gives those
+records. The exception is `brute_verify_chain`, which rechecks
 every cycle literally on `t.out_masks`, as the reference for the oracle's
 inductive verifier.
 """
@@ -166,10 +167,12 @@ def brute_components(t, subset, adj=None) -> list[set[int]]:
     return components
 
 
-def brute_exit_edge(t, king: int) -> tuple[int, int]:
+def brute_exit_edge(t, king: int, adj=None) -> tuple[int, int]:
     """Lowest edge (a, b), by a then b, from the last strong block of the king's
-    out-set, the component that beats no other out-set vertex, into the in-set."""
-    adj = adjacency(t)
+    out-set, the component that beats no other out-set vertex, into the in-set;
+    `adj` is `adjacency(t)`, passed in by a caller that has built it already."""
+    if adj is None:
+        adj = adjacency(t)
     out_set = adj[king]
     in_set = set(range(t.n)) - out_set - {king}
     last = next(
@@ -187,6 +190,26 @@ def brute_cycles(c3, records) -> tuple[tuple[int, ...], ...]:
         i = prev.index(x) + 1
         cycles.append(prev[:i] + (z,) + prev[i:])
     return tuple(cycles)
+
+
+def brute_records(t, k, c3, order, adj=None) -> tuple[tuple[int, int, int], ...]:
+    """Records (x, y, z) splicing each z of `order` in turn, starting from C3,
+    into the first edge (x, y) from king k on with x -> z -> y, on a cycle
+    list: the reference for the successor-array walk in `build_chain`. `adj`
+    is `adjacency(t)`, passed in by a caller that has built it already."""
+    if adj is None:
+        adj = adjacency(t)
+    start = c3.index(k)
+    cycle = list(c3[start:] + c3[:start])
+    records = []
+    for z in order:
+        size = len(cycle)
+        slot = next(
+            i for i in range(size) if z in adj[cycle[i]] and cycle[(i + 1) % size] in adj[z]
+        )
+        records.append((cycle[slot], cycle[(slot + 1) % size], z))
+        cycle.insert(slot + 1, z)
+    return tuple(records)
 
 
 def near_transitive(n: int, p: float, rng) -> list[tuple[int, int]]:
@@ -297,6 +320,19 @@ def brute_verify_chain(t, chain) -> VerificationReport:
                 first_failure = f"{label}: vertex {rec.z} not fresh"
             else:
                 first_failure = f"{label}: vertex sets do not differ by exactly {{{rec.z}}}"
+
+    # Asked only when (a)-(e) all hold, so a chain that fails one of them
+    # keeps its flags: each later cycle must be the earlier one with z
+    # inserted right after x.
+    for j, rec in enumerate(records if first_failure is None else ()):
+        spliced = list(cycles[j])
+        spliced.insert(spliced.index(rec.x) + 1, rec.z)
+        if list(cycles[j + 1]) != spliced:
+            insertion_checks[j] = False
+            first_failure = (
+                f"C{j + 3}->C{j + 4}: C{j + 4} is not C{j + 3} with {rec.z} spliced after {rec.x}"
+            )
+            break
 
     return VerificationReport(
         cycle_checks=tuple(cycle_checks),

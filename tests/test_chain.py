@@ -11,6 +11,7 @@ import pytest
 from kingchain import (
     ExitEdge,
     Insertion,
+    KingContext,
     build_chain,
     build_ladder,
     condensation,
@@ -33,6 +34,7 @@ from kingchain.core import _MATRIX_CUT
 from kingchain.errors import (
     CycleAlreadySpanningError,
     DuplicatePairError,
+    InternalContradictionError,
     MalformedCertificateError,
     MissingPairError,
     NotAKingError,
@@ -41,8 +43,10 @@ from kingchain.errors import (
 )
 
 from brute import (
+    adjacency,
     brute_cycles,
     brute_exit_edge,
+    brute_records,
     brute_kings,
     brute_strong,
     certificate_json,
@@ -96,14 +100,17 @@ class TestFindExitEdge:
             ((t, k) for t in randoms for k in kings(t)),
             near_transitive_pairs(rng, 160, 40),
         )
+        last = adj = None
         for t, k in pairs:
+            if t is not last:
+                last, adj = t, adjacency(t)
             ctx, blocks = context_and_blocks(t, k)
             exit_edge = find_exit_edge(t, ctx, blocks)
             assert exit_edge.tail in blocks[-1]
             assert exit_edge.head in ctx.in_set
             assert t.beats(exit_edge.tail, exit_edge.head)
             assert t.beats(exit_edge.head, k)
-            assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k)
+            assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k, adj)
 
 
 class TestSpinePath:
@@ -188,6 +195,12 @@ class TestExtendCycle:
             extend_cycle(t4a, ctx, (3, 0, 1))
         assert str(info.value) == "cycle must start at the king"
 
+    def test_no_slot_for_a_vertex_every_cycle_vertex_beats(self):
+        t = from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+        with pytest.raises(InternalContradictionError) as info:
+            extend_cycle(t, KingContext(0, (1, 3), (2,)), (0, 1, 2))
+        assert str(info.value) == "no insertion slot for vertex 3"
+
     def test_postcondition(self):
         rng = random.Random(24)
         for _ in range(60):
@@ -212,12 +225,20 @@ class TestExtendCycle:
         # build_chain splices the in-set minus the exit head in ascending
         # order, and extend_cycle splices the lowest missing vertex. From the
         # ladder's last cycle on, both must give the same cycles and records.
+        # Both walk the same successor-array splice, so the records are also
+        # held to a walk over a cycle list, in the same splice order.
         pairs = itertools.chain(
             every_strong_pair(), near_transitive_pairs(random.Random(28), 300, 60)
         )
         checked = extended = 0
+        last = adj = None
         for t, k in pairs:
+            if t is not last:
+                last, adj = t, adjacency(t)
             chain = build_chain(t, k)
+            head = chain.exit_edge.head
+            order = chain.spine[-2::-1] + tuple(v for v in chain.context.in_set if v != head)
+            assert chain.insertions == brute_records(t, k, chain.cycles.c3, order, adj)
             d = len(chain.context.out_set)
             cycles, inserts = list(chain.cycles[:d]), list(chain.insertions[: d - 1])
             while len(cycles[-1]) < t.n:

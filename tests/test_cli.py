@@ -144,6 +144,21 @@ class TestVerify:
         assert "result=fail" in captured.out
         assert "first_failure=" in captured.err
 
+    def test_unspliced_cycle_fails(self, capsys, tmp_path):
+        # README's example: C6 on the right vertex set, but not C5 spliced.
+        text, cert = tmp_path / "t6.txt", tmp_path / "t6.json"
+        main(["generate", "--n", "6", "--seed", "0", "--strong"])
+        text.write_text(capsys.readouterr().out)
+        main(["chain", "--input", str(text), "--king", "0", "--certificate", str(cert)])
+        capsys.readouterr()
+        obj = json.loads(cert.read_text())
+        obj["cycles"][-1] = [0, 2, 4, 3, 5, 1]
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert "result=fail" in captured.out
+        assert captured.err == "first_failure=C5->C6: C6 is not C5 with 4 spliced after 2\n"
+
     def test_unreadable_certificate(self, capsys, tmp_path, t4a_file):
         path = tmp_path / "junk.json"
         path.write_text("{")

@@ -17,13 +17,11 @@ from kingchain import (
 )
 from kingchain.errors import (
     EmptySubsetError,
-    InternalContradictionError,
     NotStrongError,
     NotStrongSubsetError,
     TargetNotInSubsetError,
     TournamentError,
 )
-from kingchain.hamilton import splice_slot
 
 from brute import brute_reaches, brute_strong, brute_strong_subset
 
@@ -256,10 +254,3 @@ class TestPathEndingAt:
         calls = with_targets(random_subsets(3000), every=False)
         assert digest(checked_path_ending_at, calls) == ENDING_DIGESTS["random"]
 
-
-class TestSpliceSlot:
-    def test_no_slot_for_a_vertex_every_cycle_vertex_beats(self):
-        t = from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-        with pytest.raises(InternalContradictionError) as info:
-            splice_slot(t, (0, 1, 2), 3)
-        assert str(info.value) == "no insertion slot for vertex 3"

@@ -252,6 +252,18 @@ def tampered(t, chain, rng):
             cycles=cycles[: i + 1] + (prev[:slot] + (new_z,) + prev[slot:],) + cycles[i + 2 :],
             insertions=records[:i] + (Insertion(prev[slot - 1], new_y, new_z),) + records[i + 1 :],
         )
+        # The record as built, and z spliced into another slot that takes it:
+        # a directed cycle on the right vertex set that is not the splice.
+        size = len(prev)
+        others = [
+            s for s in range(1, size + 1)
+            if prev[s - 1] != x and t.beats(prev[s - 1], z) and t.beats(z, prev[s % size])
+        ]
+        if others:
+            s = rng.choice(others)
+            yield "other slot", corrupted(
+                chain, cycles=cycles[: i + 1] + (prev[:s] + (z,) + prev[s:],) + cycles[i + 2 :]
+            )
 
 
 def viewed(chain, c3, records):
@@ -324,7 +336,7 @@ class TestVerifyChainMatchesLiteral:
         for t in filter(is_strong, itertools.chain(*map(enumerate_all, (3, 4, 5)), sample)):
             for k in kings(t):
                 kinds |= self.assert_same(t, build_chain(t, k), rng)
-        assert len(kinds) == 9
+        assert len(kinds) == 10
 
     def test_random_orders(self):
         rng = random.Random(42)
@@ -371,7 +383,7 @@ class TestVerifyChainMatchesLiteral:
             raise AssertionError("a built chain was checked past its records")
 
         monkeypatch.setattr(kingchain.oracle, "_insertion_fault", boom)
-        monkeypatch.setattr(kingchain.oracle, "_splices", boom)
+        monkeypatch.setattr(kingchain.oracle, "_unspliced", boom)
         monkeypatch.setattr(SplicedCycles, "_derive", boom)
         rng = random.Random(43)
         draws = [(rng.randint(6, 60), rng.randint(0, 10**6)) for _ in range(20)]
@@ -386,7 +398,7 @@ class TestVerifyChainMatchesLiteral:
         def boom(*args):
             raise AssertionError("a view over the chain's records was compared tuple by tuple")
 
-        monkeypatch.setattr(kingchain.oracle, "_splices", boom)
+        monkeypatch.setattr(kingchain.oracle, "_unspliced", boom)
         rng = random.Random(44)
         kinds = collections.Counter()
         draws = [(rng.randint(4, 40), rng.randint(0, 10**6)) for _ in range(60)]
@@ -426,16 +438,22 @@ class TestVerifyChainMatchesLiteral:
             checked += 1
         assert checked > 20
 
-    def test_unspliced_cycle_still_passes(self):
-        # Known gap, documented in README "What the oracle checks": C6 may be
-        # any directed cycle on the right vertex set, not only C5 spliced.
+    def test_unspliced_cycle_fails(self):
+        # README's example: C6 is a directed cycle on the right vertex set
+        # and (a)-(e) all hold, but it is not C5 spliced, so its link fails.
         t = random_strong_tournament(6, 0)
         chain = build_chain(t, 0)
         assert chain.cycles[2:] == ((0, 3, 2, 5, 1), (0, 3, 2, 4, 5, 1))
         assert chain.insertions[2] == Insertion(2, 5, 4)
         bad = corrupted(chain, cycles=chain.cycles[:3] + ((0, 2, 4, 3, 5, 1),))
-        assert verify_chain(t, bad) == brute_verify_chain(t, bad)
-        assert verify_chain(t, bad).passed
+        report = verify_chain(t, bad)
+        assert report == brute_verify_chain(t, bad)
+        assert not report.passed
+        assert report.first_failure == "C5->C6: C6 is not C5 with 4 spliced after 2"
+        assert all(check.passed for check in report.cycle_checks)
+        assert report.insertion_checks == (True, True, False)
+        _, loaded = loads_certificate(dumps_certificate(t, bad))
+        assert verify_chain(t, loaded) == report
 
 
 class TestOracleIndependence:
@@ -455,7 +473,6 @@ class TestOracleIndependence:
             (kingchain.analysis, "king_context"),
             (kingchain.hamilton, "hamiltonian_path"),
             (kingchain.hamilton, "path_ending_at"),
-            (kingchain.hamilton, "splice_slot"),
             (kingchain.chain, "build_chain"),
             (kingchain.chain, "extend_cycle"),
             (kingchain.chain, "find_exit_edge"),
