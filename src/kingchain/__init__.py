@@ -18,12 +18,9 @@ from .chain import (
     ExitEdge,
     Insertion,
     build_chain,
-    build_ladder,
     dumps_certificate,
-    extend_cycle,
     find_exit_edge,
     loads_certificate,
-    spine_path,
 )
 from .core import (
     Tournament,
@@ -34,12 +31,11 @@ from .core import (
     random_strong_tournament,
     random_tournament,
 )
-from .hamilton import hamiltonian_path, path_ending_at
+from .hamilton import path_ending_at
 from .oracle import (
     ExhaustiveSummary,
     StressSummary,
     VerificationReport,
-    brute_is_king_of_induced,
     exhaustive_check,
     random_stress,
     verify_chain,
@@ -54,18 +50,14 @@ __all__ = [
     "StressSummary",
     "Tournament",
     "VerificationReport",
-    "brute_is_king_of_induced",
     "build_chain",
-    "build_ladder",
     "condensation",
     "dumps_certificate",
     "enumerate_all",
     "exhaustive_check",
     "export",
-    "extend_cycle",
     "find_exit_edge",
     "from_edge_list",
-    "hamiltonian_path",
     "is_king",
     "is_strong",
     "king_context",
@@ -76,7 +68,6 @@ __all__ = [
     "random_stress",
     "random_strong_tournament",
     "random_tournament",
-    "spine_path",
     "verify_chain",
 ]
 

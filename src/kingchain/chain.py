@@ -175,8 +175,9 @@ def spine_path(
     """Hamiltonian path through the whole out-set ending at the exit tail.
 
     Every out-set vertex reaches the last block, which is strong, so reaches
-    the tail, and Rédei's rule toward it spans the out-set. `blocks` is
-    unused; it stays until the benchmark's traced replay stops passing it.
+    the tail, and Rédei's rule toward it spans the out-set. `build_chain`
+    makes the same call itself; this and its unused `blocks` stay for the
+    benchmark's traced replay, which calls them.
     """
     return path_ending_at(t, ctx.out_set, exit_edge.tail)
 
@@ -247,7 +248,7 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     ctx = king_context(t, k)
     blocks = condensation(t, ctx.out_set)
     exit_edge = find_exit_edge(t, ctx, blocks)
-    spine = spine_path(t, ctx, blocks, exit_edge)
+    spine = path_ending_at(t, ctx.out_set, exit_edge.tail)
     head = exit_edge.head
     out_masks = t.out_masks
     succ = [0] * t.n

@@ -119,10 +119,6 @@ class Tournament:
                 masks[v] |= 1 << u
         object.__setattr__(self, "out_masks", tuple(masks))
 
-    def beats(self, u: int, v: int) -> bool:
-        """True iff the edge between u and v is directed u -> v."""
-        return bool(self.out_masks[u] >> v & 1)
-
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
 

@@ -2,9 +2,13 @@
 
 The certificate checks here are written from the definitions and the
 one-vertex splice induction, and never call the construction code or the
-structural-query helpers; the only shared piece is the tournament container
-itself. A disagreement between
-construction and verification is therefore meaningful.
+structural-query helpers. They share two pieces with the construction: the
+tournament container, and `chain.SplicedCycles`. A chain whose cycles are
+that view over its own records is trusted to hold their splice, so only the
+records are replayed (tests hold the view's `_derive` to a brute splice);
+the cycles of a chain that fails are read as tuples through `_derive`.
+Outside those, a disagreement between construction and verification is
+meaningful.
 
 The two harnesses drive the full pipeline: `exhaustive_check` walks every
 labeled tournament of a small order, `random_stress` checks the first

@@ -13,23 +13,19 @@ from kingchain import (
     Insertion,
     KingContext,
     build_chain,
-    build_ladder,
     condensation,
     dumps_certificate,
     enumerate_all,
-    extend_cycle,
     find_exit_edge,
     from_edge_list,
-    hamiltonian_path,
     is_strong,
     king_context,
     kings,
     loads_certificate,
     path_ending_at,
     random_strong_tournament,
-    spine_path,
 )
-from kingchain.chain import SplicedCycles
+from kingchain.chain import SplicedCycles, build_ladder, extend_cycle, spine_path
 from kingchain.core import _MATRIX_CUT
 from kingchain.errors import (
     CycleAlreadySpanningError,
@@ -41,6 +37,7 @@ from kingchain.errors import (
     NotStrongError,
     OrderTooSmallError,
 )
+from kingchain.hamilton import hamiltonian_path
 
 from brute import (
     adjacency,
@@ -108,8 +105,8 @@ class TestFindExitEdge:
             exit_edge = find_exit_edge(t, ctx, blocks)
             assert exit_edge.tail in blocks[-1]
             assert exit_edge.head in ctx.in_set
-            assert t.beats(exit_edge.tail, exit_edge.head)
-            assert t.beats(exit_edge.head, k)
+            assert t.out_masks[exit_edge.tail] >> exit_edge.head & 1
+            assert t.out_masks[exit_edge.head] >> k & 1
             assert (exit_edge.tail, exit_edge.head) == brute_exit_edge(t, k, adj)
 
 
@@ -136,7 +133,7 @@ class TestSpinePath:
             assert sorted(spine) == list(ctx.out_set)
             assert spine[-1] == exit_edge.tail
             for u, v in zip(spine, spine[1:]):
-                assert t.beats(u, v)
+                assert t.out_masks[u] >> v & 1
 
     def test_is_a_front_path_then_a_last_block_path(self):
         # Rédei's rule toward the tail never defers an earlier-block vertex,
@@ -219,7 +216,7 @@ class TestExtendCycle:
             assert set(grown) == set(cycle) | {rec.z}
             assert rec.z == min(set(range(n)) - set(cycle))
             assert grown[0] == k
-            assert t.beats(rec.x, rec.z) and t.beats(rec.z, rec.y)
+            assert t.out_masks[rec.x] >> rec.z & 1 and t.out_masks[rec.z] >> rec.y & 1
 
     def test_repeated_calls_rebuild_build_chain(self):
         # build_chain splices the in-set minus the exit head in ascending

@@ -54,8 +54,8 @@ class TestPairIndexing:
 class TestFromEdgeList:
     def test_three_cycle(self):
         t = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
-        assert t.beats(0, 1) and t.beats(1, 2) and t.beats(2, 0)
-        assert not t.beats(1, 0)
+        assert t.out_masks[0] >> 1 & 1 and t.out_masks[1] >> 2 & 1 and t.out_masks[2] >> 0 & 1
+        assert not t.out_masks[1] >> 0 & 1
 
     def test_transitive_triangle(self):
         t = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])

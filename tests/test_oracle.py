@@ -17,7 +17,6 @@ import kingchain.oracle
 from kingchain import (
     Insertion,
     Tournament,
-    brute_is_king_of_induced,
     build_chain,
     dumps_certificate,
     enumerate_all,
@@ -37,7 +36,7 @@ from kingchain.errors import (
     MalformedCertificateError,
     OrderOutOfRangeError,
 )
-from kingchain.oracle import Counterexample, random_stress
+from kingchain.oracle import Counterexample, brute_is_king_of_induced, random_stress
 
 from brute import brute_kings, brute_strong, brute_verify_chain
 
@@ -257,7 +256,9 @@ def tampered(t, chain, rng):
         size = len(prev)
         others = [
             s for s in range(1, size + 1)
-            if prev[s - 1] != x and t.beats(prev[s - 1], z) and t.beats(z, prev[s % size])
+            if prev[s - 1] != x
+            and t.out_masks[prev[s - 1]] >> z & 1
+            and t.out_masks[z] >> prev[s % size] & 1
         ]
         if others:
             s = rng.choice(others)
@@ -303,7 +304,7 @@ def spliced_records(t, cycle, order):
     for z in order:
         slot = next(
             i for i in range(1, len(cycle) + 1)
-            if t.beats(cycle[i - 1], z) and t.beats(z, cycle[i % len(cycle)])
+            if t.out_masks[cycle[i - 1]] >> z & 1 and t.out_masks[z] >> cycle[i % len(cycle)] & 1
         )
         records.append(Insertion(cycle[slot - 1], cycle[slot % len(cycle)], z))
         cycle.insert(slot, z)
