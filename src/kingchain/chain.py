@@ -32,9 +32,10 @@ lowest-index-first, so certificates are reproducible byte for byte.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -273,16 +274,32 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
 _RECORD = '{\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
 
 
-def _json_array(items: Sequence[str], depth: int) -> str:
-    """Rendered items as a JSON array at nesting depth `depth`, laid out as indent=2."""
-    if not items:
-        return "[]"
+class VertexNames(dict):
+    """The decimal text of every vertex of one order: `names[v]` is `str(v)`.
+
+    A chain of order n holds about n²/2 vertices in its cycles, so its writers
+    look each one up here instead of formatting it again. Any other value, such
+    as a negative or out-of-range vertex of a loaded certificate, is formatted
+    on lookup, so it reads exactly as `str` gives it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        super().__init__(zip(range(n), map(str, range(n))))
+
+    def __missing__(self, value) -> str:
+        return str(value)
+
+
+def _json_array(items: Iterable[str], depth: int) -> str:
+    """Rendered items, none empty, as a JSON array at nesting depth `depth`, as indent=2.
+
+    The joined items are copied once more, into the result, and no further.
+    """
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-def _ints(values: Sequence[int], depth: int) -> str:
-    return _json_array([*map(str, values)], depth)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}\n{'  ' * depth}]" if body else "[]"
 
 
 def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
@@ -292,25 +309,32 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
     the text is the stdlib's `json.dumps(..., indent=2, sort_keys=True) +
     "\n"` of the same fields, with the edges as [u, v] pairs ascending by
     (u, then v), byte for byte. It is written here because with an indent,
-    json runs its pure-Python encoder, one call per value.
+    json runs its pure-Python encoder, one call per value. Every vertex of
+    an array is read from one `VertexNames` table.
     """
+    name = VertexNames(t.n).__getitem__
     records = chain.insertions
     insertions = _json_array([_RECORD] * len(records), 1) % tuple(itertools.chain(*records))
     edges = edge_rows(t, "[\n      %d,\n      ", "%d\n    ]", ",\n    ")
     fields = {
         "n": str(t.n),
         "king": str(chain.king),
-        "A": _ints(chain.context.out_set, 1),
-        "B": _ints(chain.context.in_set, 1),
-        "reid_blocks": _json_array([_ints(block, 2) for block in chain.blocks], 1),
+        "A": _json_array(map(name, chain.context.out_set), 1),
+        "B": _json_array(map(name, chain.context.in_set), 1),
+        "reid_blocks": _json_array([_json_array(map(name, b), 2) for b in chain.blocks], 1),
         "a_star": str(chain.exit_edge.tail),
         "b_star": str(chain.exit_edge.head),
-        "spine": _ints(chain.spine, 1),
-        "cycles": _json_array([_ints(cycle, 2) for cycle in chain.cycles], 1),
+        "spine": _json_array(map(name, chain.spine), 1),
+        "cycles": _json_array([_json_array(map(name, c), 2) for c in chain.cycles], 1),
         "insertions": insertions,
         "tournament": _json_array(edges, 1),
     }
-    return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}\n"
+    # One join, so the text is copied once and no field twice.
+    parts = ["{"]
+    for key in sorted(fields):
+        parts += (f'\n  "{key}": ', fields[key], ",")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
@@ -321,10 +345,19 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     load and are dropped on write. from_edge_list then checks each edge's shape,
     range and pair in input order, so the first faulty edge is the one named.
     """
+    # json.loads makes a list per edge and per cycle, and every few hundred of
+    # them would wake the cyclic collector to walk the growing heap; parsed JSON
+    # holds no reference cycle, so the collector sleeps through the parse.
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
     try:

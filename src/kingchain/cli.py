@@ -111,10 +111,16 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(f"blocks={[list(b) for b in built.blocks]}")
     print(f"exit_edge={built.exit_edge.tail}->{built.exit_edge.head}")
     print(f"spine={list(built.spine)}")
-    for cycle in built.cycles:
-        print(f"C{len(cycle)}: {' '.join(map(str, cycle))}")
-    for j, rec in enumerate(built.insertions):
-        print(f"C{j + 3}->C{j + 4}: insert {rec.z} between {rec.x} and {rec.y}")
+    # About n²/2 vertices, each read from one table; the lines stream, so the
+    # listing is never held whole.
+    name = chain_mod.VertexNames(t.n).__getitem__
+    sys.stdout.writelines(
+        f"C{len(cycle)}: {' '.join(map(name, cycle))}\n" for cycle in built.cycles
+    )
+    sys.stdout.writelines(
+        f"C{j}->C{j + 1}: insert {name(z)} between {name(x)} and {name(y)}\n"
+        for j, (x, y, z) in enumerate(built.insertions, 3)
+    )
     return 0
 
 
@@ -122,15 +128,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         t, built = chain_mod.loads_certificate(handle.read())
     report = oracle.verify_chain(t, built)
-    for check in report.cycle_checks:
-        print(
-            f"C{check.length}: cycle={'ok' if check.is_cycle else 'FAIL'}"
-            f" length={'ok' if check.correct_length else 'FAIL'}"
-            f" king_member={'ok' if check.contains_king else 'FAIL'}"
-            f" king_of_induced={'ok' if check.king_of_induced else 'FAIL'}"
-        )
-    for j, ok in enumerate(report.insertion_checks):
-        print(f"C{j + 3}->C{j + 4}: insertion={'ok' if ok else 'FAIL'}")
+    sys.stdout.writelines(
+        f"C{check.length}: cycle={'ok' if check.is_cycle else 'FAIL'}"
+        f" length={'ok' if check.correct_length else 'FAIL'}"
+        f" king_member={'ok' if check.contains_king else 'FAIL'}"
+        f" king_of_induced={'ok' if check.king_of_induced else 'FAIL'}\n"
+        for check in report.cycle_checks
+    )
+    sys.stdout.writelines(
+        f"C{j}->C{j + 1}: insertion={'ok' if ok else 'FAIL'}\n"
+        for j, ok in enumerate(report.insertion_checks, 3)
+    )
     print(f"result={'pass' if report.passed else 'fail'}")
     if not report.passed:
         print(f"first_failure={report.first_failure}", file=sys.stderr)

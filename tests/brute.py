@@ -11,11 +11,14 @@ writer, `brute_cycles` for the cycles view that `build_chain` lays over
 C3 and its records, and `brute_records` for the splice walk that gives those
 records. The exception is `brute_verify_chain`, which rechecks
 every cycle literally on `t.out_masks`, as the reference for the oracle's
-inductive verifier.
+inductive verifier. `chain_listing` and `verify_listing` print what
+`kingchain chain` and `kingchain verify` print, one line at a time with
+`str()` per vertex: the reference for their streamed listings.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 
 from kingchain.core import Tournament
@@ -340,3 +343,37 @@ def brute_verify_chain(t, chain) -> VerificationReport:
         passed=first_failure is None,
         first_failure=first_failure,
     )
+
+
+def chain_listing(t, king: int, built) -> str:
+    """Standard output of `kingchain chain` for the chain `built` of king `king`."""
+    out = io.StringIO()
+    print(f"n={t.n} king={king}", file=out)
+    print(f"out_set={list(built.context.out_set)} in_set={list(built.context.in_set)}", file=out)
+    print(f"blocks={[list(b) for b in built.blocks]}", file=out)
+    print(f"exit_edge={built.exit_edge.tail}->{built.exit_edge.head}", file=out)
+    print(f"spine={list(built.spine)}", file=out)
+    for cycle in built.cycles:
+        print(f"C{len(cycle)}: {' '.join(map(str, cycle))}", file=out)
+    for j, rec in enumerate(built.insertions):
+        print(f"C{j + 3}->C{j + 4}: insert {rec.z} between {rec.x} and {rec.y}", file=out)
+    return out.getvalue()
+
+
+def verify_listing(report) -> tuple[str, str]:
+    """Standard output and standard error of `kingchain verify` for `report`."""
+    out, err = io.StringIO(), io.StringIO()
+    for check in report.cycle_checks:
+        print(
+            f"C{check.length}: cycle={'ok' if check.is_cycle else 'FAIL'}"
+            f" length={'ok' if check.correct_length else 'FAIL'}"
+            f" king_member={'ok' if check.contains_king else 'FAIL'}"
+            f" king_of_induced={'ok' if check.king_of_induced else 'FAIL'}",
+            file=out,
+        )
+    for j, ok in enumerate(report.insertion_checks):
+        print(f"C{j + 3}->C{j + 4}: insertion={'ok' if ok else 'FAIL'}", file=out)
+    print(f"result={'pass' if report.passed else 'fail'}", file=out)
+    if not report.passed:
+        print(f"first_failure={report.first_failure}", file=err)
+    return out.getvalue(), err.getvalue()

@@ -1,6 +1,7 @@
 """Tests for the cycle-chain construction and its certificate format."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import random
@@ -427,6 +428,30 @@ class TestCertificate:
                 reference = json.dumps(certificate_json(t, chain), indent=2, sort_keys=True) + "\n"
                 assert dumps_certificate(t, chain) == reference
         assert multi_block > 0
+
+    def test_vertices_outside_the_order_write_back_as_themselves(self, t4a):
+        # The writer's name table covers 0..n-1; a negative or larger vertex
+        # of a loaded certificate is still written as its own number.
+        cert = json.loads(dumps_certificate(t4a, build_chain(t4a, 1)))
+        cert.update(A=[-1, 99], spine=[7])
+        cert["cycles"][0][1] = -1
+        text = json.dumps(cert, indent=2, sort_keys=True) + "\n"
+        assert dumps_certificate(*loads_certificate(text)) == text
+
+    def test_loads_leaves_the_collector_as_it_found_it(self, t4a):
+        # The collector sleeps through the JSON parse only, and a collector
+        # that was off stays off, also when the text is not JSON.
+        text = dumps_certificate(t4a, build_chain(t4a, 1))
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                loads_certificate(text)
+                assert gc.isenabled() is enabled
+                with pytest.raises(MalformedCertificateError):
+                    loads_certificate("not json")
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
     def test_oversized_order_allocates_by_the_input(self, t4a):
         # The tournament's edge count is compared with C(n, 2) before anything

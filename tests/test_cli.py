@@ -6,10 +6,21 @@ import random
 
 import pytest
 
-from kingchain import export, from_edge_list, kings, parse_text
+from kingchain import (
+    build_chain,
+    enumerate_all,
+    export,
+    from_edge_list,
+    is_strong,
+    kings,
+    loads_certificate,
+    parse_text,
+    random_strong_tournament,
+    verify_chain,
+)
 from kingchain.cli import main
 
-from brute import brute_strong, near_transitive
+from brute import brute_strong, chain_listing, near_transitive, verify_listing
 from conftest import T4A_EDGES
 
 
@@ -182,6 +193,63 @@ class TestVerify:
         path.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(path)]) == 1
         assert "MalformedCertificate" in capsys.readouterr().err
+
+
+class TestListings:
+    """`chain` and `verify` print, byte for byte, what brute.chain_listing and
+    brute.verify_listing print one line at a time."""
+
+    @staticmethod
+    def round_trip(capsys, tmp_path, t, king="auto"):
+        """Run `chain` and then `verify` on t, check both listings, and
+        return the certificate's path."""
+        text, cert = tmp_path / "t.txt", tmp_path / "cert.json"
+        text.write_text(export(t, "text"))
+        args = ["chain", "--input", str(text), "--king", str(king), "--certificate", str(cert)]
+        assert main(args) == 0
+        k = kings(t)[0] if king == "auto" else king
+        assert capsys.readouterr() == (chain_listing(t, k, build_chain(t, k)), "")
+        TestListings.check_verify(capsys, cert, 0)
+        return cert
+
+    @staticmethod
+    def check_verify(capsys, cert, code):
+        """Run `verify` on cert, check its listing, and return its stderr."""
+        assert main(["verify", "--certificate", str(cert)]) == code
+        report = verify_chain(*loads_certificate(cert.read_text()))
+        captured = capsys.readouterr()
+        assert captured == verify_listing(report)
+        return captured.err
+
+    def test_t4a_every_king(self, capsys, tmp_path, t4a):
+        for k in kings(t4a):
+            self.round_trip(capsys, tmp_path, t4a, k)
+
+    def test_every_king_of_order_five(self, capsys, tmp_path):
+        pairs = 0
+        for t in filter(is_strong, enumerate_all(5)):
+            for k in kings(t):
+                self.round_trip(capsys, tmp_path, t, k)
+                pairs += 1
+        assert pairs == 1880
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_random_orders(self, capsys, tmp_path, n):
+        t = random_strong_tournament(n, 1)
+        self.round_trip(capsys, tmp_path, t)
+        self.round_trip(capsys, tmp_path, t, kings(t)[-1])
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_failing_certificate(self, capsys, tmp_path, t4a, n):
+        # C4 reversed after its king: stdout lists the failing checks, and
+        # stderr is the one first_failure line.
+        t = t4a if n == 4 else random_strong_tournament(n, 1)
+        cert = self.round_trip(capsys, tmp_path, t)
+        obj = json.loads(cert.read_text())
+        obj["cycles"][1][1:] = obj["cycles"][1][:0:-1]
+        cert.write_text(json.dumps(obj))
+        err = self.check_verify(capsys, cert, 1)
+        assert err == "first_failure=C4: not a directed cycle of the tournament\n"
 
 
 class TestExhaustive:
