@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import KingContext, condensation, king_context
-from .core import Tournament, edge_rows, from_edge_list
+from .core import Tournament, _from_int_edges, edge_rows, from_edge_list
 from .errors import (
     CycleAlreadySpanningError,
     InternalContradictionError,
@@ -342,8 +342,8 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
 
     Here every array the writer writes must be a JSON array, every insertion
     record an object, and the order and every vertex a JSON integer; other keys
-    load and are dropped on write. from_edge_list then checks each edge's shape,
-    range and pair in input order, so the first faulty edge is the one named.
+    load and are dropped on write. The grid reads the edges; on a fault, from_edge_list
+    checks each edge's shape, range and pair in input order and names the first.
     """
     # json.loads makes a list per edge and per cycle, and every few hundred of
     # them would wake the cyclic collector to walk the growing heap; parsed JSON
@@ -375,7 +375,7 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
             raise MalformedCertificateError(
                 "certificate orders and vertices must be integers, in JSON arrays"
             )
-        t = from_edge_list(obj["n"], edges)
+        t = _from_int_edges(obj["n"], edges) or from_edge_list(obj["n"], edges)
         chain = CycleChain(
             king=obj["king"],
             cycles=tuple(tuple(c) for c in cycles),

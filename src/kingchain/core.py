@@ -15,7 +15,6 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -34,14 +33,11 @@ ENUMERATION_LIMIT = 8
 # A binary digit negated. Pair and cell flags are stored as ASCII digits.
 _NOT_DIGIT = bytes.maketrans(b"01", b"10")
 
-# From this order up, Tournament unpacks by a bit-matrix transpose, and
-# from_edge_list and parse_text read through _from_cells; below it the
-# per-pair loops run. Measured on 2 cores, Python 3.11.7 (median of 7
-# best-of-5 timeit runs): at n=6 the matrix passes take 1.8 times as long as
-# the loops in the unpack and in from_edge_list, and 1.1 times in parse_text.
-# They cross between n=16 and n=20 in the unpack, n=20 and n=24 in
-# from_edge_list, and n=6 and n=12 in parse_text. Exhaustive sweeps unpack
-# 32,768 tournaments per n=6 pass and 2 million at n=7.
+# From this order up, Tournament unpacks by a bit-matrix transpose and from_edge_list
+# reads through the grid; below it the per-pair loops, 1.9 and 1.4 times as fast at
+# n=6, run the sweeps' 32,768 unpacks per n=6 pass. They cross between n=16 and 20 and
+# n=8 and 12 (2 cores, Python 3.11.7, median of 7 best-of-5 timeit runs). parse_text
+# reads through the grid at every order: faster from n=4, 0.5 us slower at n=3.
 _MATRIX_CUT = 24
 
 # A binary digit as an itertools.compress selector: the byte 0 is false.
@@ -144,22 +140,37 @@ def _transposed_masks(n: int, bits: int) -> tuple[int, ...]:
     return tuple(int(grid[i:i + n], 2) for i in range(n * n - n, -1, -n))
 
 
-def _from_cells(n: int, cells: Iterable[int]) -> Tournament | None:
-    """The tournament with edge u -> v for each cell u*n + v, or None.
+def _from_pairs(n: int, pairs: Iterable, rows: dict, cols: dict) -> Tournament | None:
+    """The tournament with edge u -> v for each of C(n, 2) pairs (u, v), or None.
 
-    The caller passes C(n, 2) cells in [0, n*n). They name a tournament
-    exactly when each cell above the diagonal is the negation of its mirror:
-    then the C(n, 2) pairs take one cell each, so no cell repeats and none
-    lies on the diagonal.
+    `rows` maps each vertex's name to u*n and `cols` maps it to v. The pairs name
+    a tournament iff each is two names and each cell above the diagonal negates
+    its mirror: then no cell repeats or lies on the diagonal, and row u is u's out-set.
     """
     flags = bytearray(b"0" * (n * n))
-    any(map(flags.__setitem__, cells, itertools.repeat(ord("1"))))
+    try:
+        for u, v in pairs:
+            flags[rows[u] + cols[v]] = 49  # ord("1")
+    except (KeyError, TypeError, ValueError):
+        return None
     upper = b"".join([flags[u * n + u + 1:(u + 1) * n] for u in range(n)])
     lower = b"".join([flags[(u + 1) * n + u::n] for u in range(n)])
     if upper.translate(_NOT_DIGIT) != lower:
         return None
-    # Pair p's flag is bit p, so the digits run from the top.
-    return Tournament(n, int(b"0" + upper[::-1], 2))
+    # Pair p's flag is bit p, so the digits run from the top. Reversed, the grid holds
+    # row n-1-v as v's mask, highest bit first, so the masks are not unpacked again.
+    flags.reverse()
+    t = object.__new__(Tournament)
+    t.__dict__.update(n=n, bits=int(b"0" + upper[::-1], 2), out_masks=tuple(
+        [int(flags[i:i + n], 2) for i in range(n * n - n, -1, -n)]))
+    return t
+
+
+def _from_int_edges(n: int, edges: list) -> Tournament | None:
+    """The grid read of C(n, 2) edges of type-int vertices from _MATRIX_CUT up, else None."""
+    if n < _MATRIX_CUT or len(edges) != pair_count(n):
+        return None
+    return _from_pairs(n, edges, dict(enumerate(range(0, n * n, n))), dict(enumerate(range(n))))
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
@@ -172,20 +183,14 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
         raise ValueError(f"tournament order must be >= 1, got {n}")
     edges = list(edges)
     total = pair_count(n)
-    if len(edges) == total and n >= _MATRIX_CUT:
-        # Check fast: on anything this does not accept, including inputs it
-        # cannot read, the loop below names the first fault. Flattening makes
-        # no object per edge, so it wakes no garbage collection; zip(*edges) would.
-        try:
-            if set(map(len, edges)) == {2}:
-                flat = list(itertools.chain.from_iterable(edges))
-                us, vs = flat[0::2], flat[1::2]
-                if 0 <= min(us) and max(us) < n and 0 <= min(vs) and max(vs) < n:
-                    t = _from_cells(n, map(add, map(mul, us, itertools.repeat(n)), vs))
-                    if t is not None:
-                        return t
-        except TypeError:
-            pass
+    # Check fast; the loop below names any fault. A dict finds 2.0 under 2, so only ints go.
+    try:
+        t = n >= _MATRIX_CUT and set(map(len, edges)) == {2} and set(
+            map(type, itertools.chain.from_iterable(edges))) == {int} and _from_int_edges(n, edges)
+    except TypeError:
+        t = None
+    if t:
+        return t
     # Per pair index: 0 unseen, else the pair's bit as an ASCII digit, "1" for u < v.
     seen = bytearray(total) if len(edges) >= total else defaultdict(int)
     for u, v in edges:
@@ -291,19 +296,14 @@ def parse_text(text: str) -> Tournament:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty tournament text")
-    # Check fast: a text of order n > 1 holds n(n-1) + 1 tokens, whose integer
-    # square root is n - 1. If the header is that n and each vertex is written as
-    # export writes it, the dicts turn each token into its part of a cell, in range.
-    # A KeyError (so any non-decimal token), or cells that are no tournament, go to the loop.
+    # Check fast: a text of order n > 1 holds n(n-1) + 1 tokens, whose integer square
+    # root is n - 1. If the header is that n, the grid reads the vertices written as
+    # export writes them; any other token, or cells that are no tournament, go to the loop.
     n = math.isqrt(len(tokens)) + 1
-    if n >= _MATRIX_CUT and n * (n - 1) == len(tokens) - 1 and tokens[0] == str(n):
-        rows = {str(u): u * n for u in range(n)}
-        cols = {str(v): v for v in range(n)}
-        cells = map(add, map(rows.__getitem__, tokens[1::2]), map(cols.__getitem__, tokens[2::2]))
-        try:
-            t = _from_cells(n, cells)
-        except KeyError:
-            t = None
+    if n * (n - 1) == len(tokens) - 1 and tokens[0] == str(n):
+        names = list(map(str, range(n)))
+        rows, cols = dict(zip(names, range(0, n * n, n))), dict(zip(names, range(n)))
+        t = _from_pairs(n, zip(tokens[1::2], tokens[2::2]), rows, cols)
         if t is not None:
             return t
     bad = _NON_DECIMAL.search(text)

@@ -499,6 +499,22 @@ class TestCertificate:
             loads_certificate(json.dumps(cert))
         assert str(info.value) == f"pair {{{u}, {v}}} oriented more than once"
 
+    def test_edge_vertices_must_be_integers_at_order_200(self):
+        # At n=200 the edges go straight to the grid, whose dicts would find
+        # true and 1.0 under 1; the type check rejects them first.
+        t = random_strong_tournament(200, 1)
+        good = json.loads(dumps_certificate(t, build_chain(t, kings(t)[0])))
+        i = next(i for i, edge in enumerate(good["tournament"]) if 1 in edge)
+        for value in (True, 1.0):
+            bad = json.loads(json.dumps(good))
+            edge = bad["tournament"][i]
+            edge[edge.index(1)] = value
+            with pytest.raises(MalformedCertificateError) as info:
+                loads_certificate(json.dumps(bad))
+            assert str(info.value) == (
+                "certificate orders and vertices must be integers, in JSON arrays"
+            )
+
     def test_loads_rejects_garbage(self, t4a):
         with pytest.raises(MalformedCertificateError):
             loads_certificate("not json")

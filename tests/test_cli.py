@@ -60,6 +60,18 @@ class TestGenerate:
         assert main(["generate", "--n", "1000000000", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch):
+        # The transpose's grid is where a large order runs out; a MemoryError
+        # has no message, so the line names its class. Nothing large is made.
+        def exhausted(n, bits):
+            raise MemoryError()
+
+        monkeypatch.setattr("kingchain.core._transposed_masks", exhausted)
+        assert main(["generate", "--n", "30", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError\n"
+
 
 class TestChain:
     def test_worked_example(self, capsys, tmp_path, t4a_file):

@@ -9,9 +9,13 @@ import pytest
 
 from kingchain import (
     Tournament,
+    build_chain,
+    dumps_certificate,
     enumerate_all,
     export,
     from_edge_list,
+    kings,
+    loads_certificate,
     parse_text,
     random_strong_tournament,
     random_tournament,
@@ -177,20 +181,52 @@ class TestReader:
         assert from_edge_list(n, [list(arc) for arc in arcs]) == t
 
     def test_unreadable_edges_raise_the_loops_error(self):
-        n = _MATRIX_CUT + 6
-        arcs = edges(random_strong_tournament(n, 5))
-        (u, v), (w, x) = arcs[4:6]
-        cases = [
-            ([(u, float(v)), (w, x)], TypeError),
-            ([(u, str(v)), (w, x)], TypeError),
-            ([(u, v, 0), (w, x)], ValueError),
-            ([None, (w, x)], TypeError),
-            # The same vertices in the same order, split wrongly into edges.
-            ([(u,), (v, w, x)], ValueError),
+        # Below the cut, above it and at n=200. The grid's dicts would find 2.0
+        # and True under 2 and 1, so only vertices of type int may take it.
+        for n in (_MATRIX_CUT - 1, _MATRIX_CUT + 6, 200):
+            t = random_strong_tournament(n, 5)
+            arcs = edges(t)
+            (u, v), (w, x) = arcs[4:6]
+            cases = [
+                ([(u, float(v)), (w, x)], TypeError),
+                ([(u, str(v)), (w, x)], TypeError),
+                ([(u, v, 0), (w, x)], ValueError),
+                ([None, (w, x)], TypeError),
+                # The same vertices in the same order, split wrongly into edges.
+                ([(u,), (v, w, x)], ValueError),
+            ]
+            for pair, error in cases:
+                with pytest.raises(error):
+                    from_edge_list(n, arcs[:4] + pair + arcs[6:])
+            # A bool is an int to the loop: False and True read as 0 and 1, and a
+            # fault is named as the loop names it.
+            bools = [tuple({0: False, 1: True}.get(x, x) for x in arc) for arc in arcs]
+            read = from_edge_list(n, bools)
+            assert read == t and read.out_masks == t.out_masks
+            i = next(i for i, arc in enumerate(arcs) if arc[0] == 1)
+            bad = arcs[:i] + [arcs[i], (True, arcs[i][1])] + arcs[i + 1:]
+            with pytest.raises(DuplicatePairError) as info:
+                from_edge_list(n, bad)
+            assert str(info.value) == f"pair {{True, {arcs[i][1]}}} oriented more than once"
+
+    @pytest.mark.parametrize("n", (3, 5, 6, _MATRIX_CUT - 1, _MATRIX_CUT, 40, 200))
+    def test_reads_set_the_unpacked_out_masks(self, n):
+        # Equality ignores out_masks, so each accepted read, by the grid or by
+        # the loop, is held to the masks Tournament unpacks from its bits.
+        t = random_strong_tournament(n, 7)
+        arcs = edges(t)
+        certificate = dumps_certificate(t, build_chain(t, kings(t)[0]))
+        reads = [
+            parse_text(export(t, "text")),
+            parse_text(_text(n, arcs[::-1])),
+            parse_text("0" + export(t, "text")),
+            from_edge_list(n, arcs),
+            from_edge_list(n, [list(arc) for arc in arcs[::-1]]),
+            loads_certificate(certificate)[0],
         ]
-        for pair, error in cases:
-            with pytest.raises(error):
-                from_edge_list(n, arcs[:4] + pair + arcs[6:])
+        for read in reads:
+            assert read == t
+            assert read.out_masks == Tournament(t.n, t.bits).out_masks
 
     def test_non_decimal_scan_runs_only_on_the_loop_path(self, monkeypatch):
         # The matrix read accepts only tokens written as export writes them,
