@@ -15,7 +15,7 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicatePairError,
@@ -33,11 +33,12 @@ ENUMERATION_LIMIT = 8
 # A binary digit negated. Pair and cell flags are stored as ASCII digits.
 _NOT_DIGIT = bytes.maketrans(b"01", b"10")
 
-# From this order up, Tournament unpacks by a bit-matrix transpose and from_edge_list
-# reads through the grid; below it the per-pair loops, 1.9 and 1.4 times as fast at
-# n=6, run the sweeps' 32,768 unpacks per n=6 pass. They cross between n=16 and 20 and
-# n=8 and 12 (2 cores, Python 3.11.7, median of 7 best-of-5 timeit runs). parse_text
-# reads through the grid at every order: faster from n=4, 0.5 us slower at n=3.
+# From this order up, Tournament unpacks by a bit-matrix transpose; below it the row
+# loop, 1.9 times as fast at n=6, runs the sweeps' 32,768 unpacks per n=6 pass. They
+# cross between n=16 and 18 (2 cores, Python 3.11.7, median of 7 best-of-5 timeit runs).
+# Texts and certificate edges take the grid at every order: faster from n=4 for texts
+# (0.5 us slower at n=3), and from n=7 against from_edge_list's loop for certificate
+# edges (0.4 us slower at n=6, 2 us at n=3).
 _MATRIX_CUT = 24
 
 # A binary digit as an itertools.compress selector: the byte 0 is false.
@@ -140,13 +141,14 @@ def _transposed_masks(n: int, bits: int) -> tuple[int, ...]:
     return tuple(int(grid[i:i + n], 2) for i in range(n * n - n, -1, -n))
 
 
-def _from_pairs(n: int, pairs: Iterable, rows: dict, cols: dict) -> Tournament | None:
+def _from_pairs(n: int, pairs: Iterable, names: Sequence) -> Tournament | None:
     """The tournament with edge u -> v for each of C(n, 2) pairs (u, v), or None.
 
-    `rows` maps each vertex's name to u*n and `cols` maps it to v. The pairs name
-    a tournament iff each is two names and each cell above the diagonal negates
-    its mirror: then no cell repeats or lies on the diagonal, and row u is u's out-set.
+    Cell (u, v) is u*n + v, where `names[u]` writes u. The pairs name a tournament iff
+    each is two names and each cell above the diagonal negates its mirror: then no
+    cell repeats or lies on the diagonal, and row u is u's out-set.
     """
+    rows, cols = dict(zip(names, range(0, n * n, n))), dict(zip(names, range(n)))
     flags = bytearray(b"0" * (n * n))
     try:
         for u, v in pairs:
@@ -167,10 +169,8 @@ def _from_pairs(n: int, pairs: Iterable, rows: dict, cols: dict) -> Tournament |
 
 
 def _from_int_edges(n: int, edges: list) -> Tournament | None:
-    """The grid read of C(n, 2) edges of type-int vertices from _MATRIX_CUT up, else None."""
-    if n < _MATRIX_CUT or len(edges) != pair_count(n):
-        return None
-    return _from_pairs(n, edges, dict(enumerate(range(0, n * n, n))), dict(enumerate(range(n))))
+    """The grid read of exactly C(n, 2) edges, else None; a dict finds 2.0 under 2, so only ints."""
+    return _from_pairs(n, edges, range(n)) if n > 0 and len(edges) == pair_count(n) else None
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
@@ -183,14 +183,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
         raise ValueError(f"tournament order must be >= 1, got {n}")
     edges = list(edges)
     total = pair_count(n)
-    # Check fast; the loop below names any fault. A dict finds 2.0 under 2, so only ints go.
-    try:
-        t = n >= _MATRIX_CUT and set(map(len, edges)) == {2} and set(
-            map(type, itertools.chain.from_iterable(edges))) == {int} and _from_int_edges(n, edges)
-    except TypeError:
-        t = None
-    if t:
-        return t
     # Per pair index: 0 unseen, else the pair's bit as an ASCII digit, "1" for u < v.
     seen = bytearray(total) if len(edges) >= total else defaultdict(int)
     for u, v in edges:
@@ -301,9 +293,7 @@ def parse_text(text: str) -> Tournament:
     # export writes them; any other token, or cells that are no tournament, go to the loop.
     n = math.isqrt(len(tokens)) + 1
     if n * (n - 1) == len(tokens) - 1 and tokens[0] == str(n):
-        names = list(map(str, range(n)))
-        rows, cols = dict(zip(names, range(0, n * n, n))), dict(zip(names, range(n)))
-        t = _from_pairs(n, zip(tokens[1::2], tokens[2::2]), rows, cols)
+        t = _from_pairs(n, zip(tokens[1::2], tokens[2::2]), list(map(str, range(n))))
         if t is not None:
             return t
     bad = _NON_DECIMAL.search(text)

@@ -2,13 +2,10 @@
 
 The certificate checks here are written from the definitions and the
 one-vertex splice induction, and never call the construction code or the
-structural-query helpers. They share two pieces with the construction: the
-tournament container, and `chain.SplicedCycles`. A chain whose cycles are
-that view over its own records is trusted to hold their splice, so only the
-records are replayed (tests hold the view's `_derive` to a brute splice);
-the cycles of a chain that fails are read as tuples through `_derive`.
-Outside those, a disagreement between construction and verification is
-meaningful.
+structural-query helpers. They share only data types with the construction:
+the tournament container, the chain's records, and `chain.SplicedCycles`,
+read as its C3 and records and spliced here, so a disagreement between
+construction and verification is meaningful.
 
 The two harnesses drive the full pipeline: `exhaustive_check` walks every
 labeled tournament of a small order, `random_stress` checks the first
@@ -194,6 +191,19 @@ def _replays(
     return True
 
 
+def _tuples(cycles: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    # As tuples, so a list cycle compares like one; a view is spliced from C3 and records.
+    if type(cycles) is not SplicedCycles:
+        return tuple(map(tuple, cycles))
+    out = [tuple(cycles.c3)]
+    for j, (x, _, z) in enumerate(cycles.records, 3):
+        if x not in out[-1]:
+            raise MalformedCertificateError(f"C{j}->C{j + 1}: vertex {x} not on C{j}")
+        i = out[-1].index(x) + 1
+        out.append(out[-1][:i] + (z,) + out[-1][i:])
+    return tuple(out)
+
+
 def _unspliced(cycles: Sequence[tuple], records: Sequence[tuple]) -> int | None:
     # Index of the first link whose later cycle is not the one before with z
     # spliced in right after x, or None. Asked only once every x is on the
@@ -252,14 +262,13 @@ def verify_chain(t: Tournament, chain: CycleChain) -> VerificationReport:
     if type(cycles) is SplicedCycles and cycles.records is records:
         passed = _replays(out_masks, k, cycles.c3, records)
     else:
-        # Tuples, so a cycle given as a list splices and compares like one.
-        cycles = tuple(map(tuple, cycles))
+        cycles = _tuples(cycles)
         passed = _replays(out_masks, k, cycles[0], records) and _unspliced(cycles, records) is None
     if passed:
         checks = tuple(map(_passed_check, range(3, n + 1)))
         return VerificationReport(checks, (True,) * len(records), True, None)
 
-    cycles = tuple(map(tuple, cycles))
+    cycles = _tuples(cycles)
     for what, items in (("cycle", cycles), ("insertion", records)):
         for v in itertools.chain(*items):
             if not 0 <= v < n:

@@ -25,6 +25,7 @@ from kingchain import (
     loads_certificate,
     path_ending_at,
     random_strong_tournament,
+    verify_chain,
 )
 from kingchain.chain import SplicedCycles, build_ladder, extend_cycle, spine_path
 from kingchain.core import _MATRIX_CUT
@@ -321,6 +322,25 @@ class TestBuildChain:
             assert first == second
             assert dumps_certificate(t, first) == dumps_certificate(t, second)
 
+    def test_large_near_transitive_orders_reach_the_rare_branches(self):
+        # Uniform draws at large n give a one-block out-set whose lowest vertex
+        # is the exit tail. Near-transitive ones give out-sets of several blocks
+        # and other tails, so the counts hold the test to those branches.
+        rng = random.Random(0)
+        pairs = multi_block = other_tail = 0
+        for n in (100, 200, 300):
+            for p in (0.97, 0.98, 0.99):
+                t = from_edge_list(n, near_transitive(n, p, rng))
+                if not is_strong(t):
+                    continue
+                for k in kings(t):
+                    chain = build_chain(t, k)
+                    assert verify_chain(t, chain).passed
+                    pairs += 1
+                    multi_block += len(chain.blocks) > 1
+                    other_tail += chain.exit_edge.tail != chain.blocks[-1][0]
+        assert pairs > 0 and multi_block > 0 and other_tail > 0
+
 
 class TestSplicedCycles:
     """build_chain's cycles view against the slice-based brute_cycles."""
@@ -471,8 +491,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("order", [4, 30])
     def test_edge_shape_errors_name_the_unpacking(self, t4a, order):
-        # Below the matrix cut and above it, from_edge_list's loop names a
-        # first edge that is not a pair.
+        # On both sides of Tournament's unpack cut, the grid declines a first
+        # edge that is not a pair and from_edge_list's loop names it.
         assert 4 < _MATRIX_CUT <= 30
         t = t4a if order == 4 else random_strong_tournament(order, 1)
         good = json.loads(dumps_certificate(t, build_chain(t, kings(t)[0])))
@@ -499,10 +519,11 @@ class TestCertificate:
             loads_certificate(json.dumps(cert))
         assert str(info.value) == f"pair {{{u}, {v}}} oriented more than once"
 
-    def test_edge_vertices_must_be_integers_at_order_200(self):
-        # At n=200 the edges go straight to the grid, whose dicts would find
-        # true and 1.0 under 1; the type check rejects them first.
-        t = random_strong_tournament(200, 1)
+    @pytest.mark.parametrize("order", [6, 200])
+    def test_edge_vertices_must_be_integers(self, order):
+        # At every order the edges go straight to the grid, whose dicts would
+        # find true and 1.0 under 1; the type check rejects them first.
+        t = random_strong_tournament(order, 1)
         good = json.loads(dumps_certificate(t, build_chain(t, kings(t)[0])))
         i = next(i for i, edge in enumerate(good["tournament"]) if 1 in edge)
         for value in (True, 1.0):

@@ -32,7 +32,7 @@ from kingchain.errors import (
 
 from brute import brute_out_masks, brute_read, brute_strong, edges
 
-# Orders on both sides of the cut between the per-pair loops and the matrix passes.
+# Orders on both sides of Tournament's cut between its row loop and its transpose.
 READER_ORDERS = (5, _MATRIX_CUT - 1, _MATRIX_CUT, _MATRIX_CUT + 6)
 
 # sha256 of random_strong_tournament(n, seed).bits for n in {1, 3..12, 50} and
@@ -181,8 +181,8 @@ class TestReader:
         assert from_edge_list(n, [list(arc) for arc in arcs]) == t
 
     def test_unreadable_edges_raise_the_loops_error(self):
-        # Below the cut, above it and at n=200. The grid's dicts would find 2.0
-        # and True under 2 and 1, so only vertices of type int may take it.
+        # Below the cut, above it and at n=200: from_edge_list's loop alone
+        # reads the edges, and names each fault as the loop names it.
         for n in (_MATRIX_CUT - 1, _MATRIX_CUT + 6, 200):
             t = random_strong_tournament(n, 5)
             arcs = edges(t)

@@ -38,7 +38,7 @@ from kingchain.errors import (
 )
 from kingchain.oracle import Counterexample, brute_is_king_of_induced, random_stress
 
-from brute import brute_kings, brute_strong, brute_verify_chain
+from brute import brute_cycles, brute_kings, brute_strong, brute_verify_chain
 
 
 def corrupted(chain, **replacements):
@@ -459,9 +459,17 @@ class TestVerifyChainMatchesLiteral:
 
 class TestOracleIndependence:
     def test_verification_never_calls_construction_code(self, t4a, monkeypatch):
-        # A built chain replays its records; a loaded one holds its cycles.
+        # A built chain replays its records; a loaded one holds its cycles. A
+        # failing view, and a view over records other than the chain's, are
+        # spliced by the oracle itself, never through the view's _derive.
         chain = build_chain(t4a, 1)
         _, loaded = loads_certificate(dumps_certificate(t4a, chain))
+        c3, records = chain.cycles.c3, chain.insertions
+        reversed_c3 = viewed(chain, c3[::-1], records)
+        literal = corrupted(reversed_c3, cycles=brute_cycles(c3[::-1], records))
+        other_records = corrupted(chain, cycles=SplicedCycles(c3, tuple(list(records))))
+        (x, y, z), = records
+        off_c3 = corrupted(chain, cycles=SplicedCycles(c3, (Insertion(z, y, x),)))
 
         def boom(*args, **kwargs):
             raise AssertionError("oracle verification must not call this")
@@ -489,6 +497,12 @@ class TestOracleIndependence:
         assert brute_is_king_of_induced(t4a, 1, [0, 1, 3])
         assert verify_chain(t4a, chain).passed
         assert verify_chain(t4a, loaded).passed
+        report = verify_chain(t4a, reversed_c3)
+        assert not report.passed and report == verify_chain(t4a, literal)
+        assert verify_chain(t4a, other_records).passed
+        with pytest.raises(MalformedCertificateError) as info:
+            verify_chain(t4a, off_c3)
+        assert str(info.value) == f"C3->C4: vertex {z} not on C3"
 
 
 class TestExhaustiveCheck:
