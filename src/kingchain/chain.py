@@ -15,14 +15,17 @@ subtournament induced by every cycle's vertex set. The steps:
      exit edge's tail, by Rédei's rule toward it. Every out-set vertex
      reaches the last block, which is strong, so reaches that tail.
   4. Start from C3 = (k, spine tail, exit head) and splice one vertex at a
-     time on a successor array: the spine, last but one back to first, then
-     the in-set minus the exit head in ascending order. Each splice walks
-     the cycle from k to the first edge (x, y) with x -> z -> y and sets
-     succ[x], succ[z] = z, y, which the record (x, y, z) keeps; `_splice`
-     is that walk, and `extend_cycle` runs it too, on a cycle tuple. A spine
-     vertex takes the king's own edge, since k beats it and it beats the
-     spine vertex after it. An in-set vertex points back at k, and by
-     kingship an out-set vertex on the cycle beats it, so it has a slot.
+     time: the spine, last but one back to first, then the in-set minus the
+     exit head in ascending order. A spine vertex takes the king's own edge,
+     since k beats it and it beats the spine vertex after it, so its record
+     (k, spine[i + 1], spine[i]) is written without a walk, and the cycle
+     is k -> spine -> exit head on a successor array. Each in-set vertex z
+     then walks the cycle from k to the first edge (x, y) with x -> z -> y
+     and sets succ[x], succ[z] = z, y, which the record (x, y, z) keeps;
+     `_splice` is that walk, over the whole in-set in one call, and
+     `extend_cycle` runs it too, on a cycle tuple. An in-set vertex points
+     back at k, and by kingship an out-set vertex on the cycle beats it, so
+     it has a slot.
   5. The chain is C3 plus those records; the cycles C3..Cn are a view that
      builds its tuples from them on the first read.
 
@@ -32,6 +35,7 @@ lowest-index-first, so certificates are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
@@ -68,6 +72,10 @@ class Insertion(NamedTuple):
     x: int
     y: int
     z: int
+
+
+# Insertion((x, y, z)) without the Python frame of the named tuple's __new__.
+_insertion = functools.partial(tuple.__new__, Insertion)
 
 
 class SplicedCycles(Sequence):
@@ -201,18 +209,30 @@ def build_ladder(
 
 
 def _splice(
-    out_masks: tuple[int, ...], succ: list[int] | dict[int, int], x: int, size: int, z: int
-) -> Insertion:
-    # Walk the cycle in `succ` from x, at most `size` steps, to the first
-    # edge (x, y) with x -> z -> y, and splice z into it.
-    zm = out_masks[z]
-    for _ in range(size):
-        y = succ[x]
-        if out_masks[x] >> z & 1 and zm >> y & 1:
-            succ[x], succ[z] = z, y
-            return Insertion(x, y, z)
-        x = y
-    raise InternalContradictionError(f"no insertion slot for vertex {z}")
+    out_masks: tuple[int, ...],
+    succ: list[int] | dict[int, int],
+    start: int,
+    size: int,
+    zs: Iterable[int],
+) -> list[Insertion]:
+    # For each z in turn, walk the cycle in `succ` from `start`, at most
+    # `size` steps, to the first edge (x, y) with x -> z -> y, and splice z
+    # into it; the cycle is one longer for the next z.
+    records = []
+    for z in zs:
+        zm = out_masks[z]
+        x = start
+        for _ in range(size):
+            y = succ[x]
+            if out_masks[x] >> z & 1 and zm >> y & 1:
+                break
+            x = y
+        else:
+            raise InternalContradictionError(f"no insertion slot for vertex {z}")
+        succ[x], succ[z] = z, y
+        records.append(_insertion((x, y, z)))
+        size += 1
+    return records
 
 
 def extend_cycle(
@@ -232,7 +252,7 @@ def extend_cycle(
         raise ValueError("cycle must start at the king")
     succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
     z = next(v for v in range(t.n) if v not in succ)
-    record = _splice(t.out_masks, succ, ctx.king, len(cycle), z)
+    (record,) = _splice(t.out_masks, succ, ctx.king, len(cycle), [z])
     i = cycle.index(record.x) + 1
     return cycle[:i] + (z,) + cycle[i:], record
 
@@ -251,14 +271,13 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     exit_edge = find_exit_edge(t, ctx, blocks)
     spine = path_ending_at(t, ctx.out_set, exit_edge.tail)
     head = exit_edge.head
-    out_masks = t.out_masks
+    # Each spine vertex takes the king's own edge, so needs no walk.
+    ladder = map(_insertion, zip(itertools.repeat(k), spine[:0:-1], spine[-2::-1]))
     succ = [0] * t.n
-    succ[k], succ[spine[-1]], succ[head] = spine[-1], head, k
+    for u, v in zip((k, *spine, head), (*spine, head, k)):
+        succ[u] = v
     rest = [v for v in ctx.in_set if v != head]
-    records = tuple(
-        _splice(out_masks, succ, k, size, z)
-        for size, z in enumerate(itertools.chain(spine[-2::-1], rest), 3)
-    )
+    records = (*ladder, *_splice(t.out_masks, succ, k, len(spine) + 2, rest))
     return CycleChain(
         king=k,
         cycles=SplicedCycles((k, spine[-1], head), records),

@@ -27,7 +27,7 @@ from kingchain import (
     random_strong_tournament,
     verify_chain,
 )
-from kingchain.chain import SplicedCycles, build_ladder, extend_cycle, spine_path
+from kingchain.chain import SplicedCycles, _splice, build_ladder, extend_cycle, spine_path
 from kingchain.core import _MATRIX_CUT
 from kingchain.errors import (
     CycleAlreadySpanningError,
@@ -249,6 +249,34 @@ class TestExtendCycle:
             extended += t.n - 2 - d
         assert checked > 91238
         assert extended > checked
+
+
+class TestSplice:
+    def test_spine_records_take_the_kings_edge(self):
+        # The king beats every spine vertex, and each spine vertex beats the
+        # one after it, so the spine's records are written without a walk.
+        pairs = itertools.chain(
+            every_strong_pair(), near_transitive_pairs(random.Random(30), 300, 60)
+        )
+        for t, k in pairs:
+            chain = build_chain(t, k)
+            spine = chain.spine
+            ladder = tuple((k, spine[i + 1], spine[i]) for i in range(len(spine) - 2, -1, -1))
+            assert chain.insertions[: len(spine) - 1] == ladder
+            assert {type(record) for record in chain.insertions} <= {Insertion}
+
+    def test_walks_each_vertex_in_turn(self, t4a):
+        # C3 = (1, 3, 0) as successors; 2 goes between 1 and 3.
+        succ = [1, 3, 0, 0]
+        assert _splice(t4a.out_masks, succ, 1, 3, [2]) == [Insertion(1, 3, 2)]
+        assert succ == [1, 2, 3, 0]
+        assert _splice(t4a.out_masks, [1, 3, 0, 0], 1, 3, []) == []
+
+    def test_no_slot_for_a_vertex_every_cycle_vertex_beats(self):
+        t = from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+        with pytest.raises(InternalContradictionError) as info:
+            _splice(t.out_masks, [1, 2, 0, 0], 0, 3, [3])
+        assert str(info.value) == "no insertion slot for vertex 3"
 
 
 class TestBuildChain:

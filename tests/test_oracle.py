@@ -36,9 +36,10 @@ from kingchain.errors import (
     MalformedCertificateError,
     OrderOutOfRangeError,
 )
-from kingchain.oracle import Counterexample, brute_is_king_of_induced, random_stress
+from kingchain.core import pair_count
+from kingchain.oracle import Counterexample, _brute_kings, brute_is_king_of_induced, random_stress
 
-from brute import brute_cycles, brute_kings, brute_strong, brute_verify_chain
+from brute import _two_step_misses, brute_cycles, brute_kings, brute_strong, brute_verify_chain
 
 
 def corrupted(chain, **replacements):
@@ -100,6 +101,45 @@ class TestBruteIsKingOfInduced:
     def test_king_not_in_subset(self, t4a):
         with pytest.raises(KingNotInSubsetError):
             brute_is_king_of_induced(t4a, 1, [0, 2, 3])
+
+
+    def test_random_subsets_match_the_reference(self):
+        # A transitive tournament's sink beats nobody, so it rules only itself.
+        rng = random.Random(31)
+        draws = [random_tournament(n, rng.randint(0, 10**6)) for n in (1, 3, 5, 8, 20, 60, 200)]
+        draws += [Tournament(n, (1 << pair_count(n)) - 1) for n in (1, 4, 30)]
+        for t in draws:
+            for _ in range(40):
+                king = rng.randrange(t.n)
+                subset = {king, *rng.sample(range(t.n), rng.randint(0, t.n - 1))}
+                _, missed = _two_step_misses(t.out_masks, king, sorted(subset))
+                assert brute_is_king_of_induced(t, king, subset) == (not missed)
+        sink = Tournament(5, (1 << pair_count(5)) - 1)
+        assert brute_is_king_of_induced(sink, 4, [4])
+        assert not brute_is_king_of_induced(sink, 4, [3, 4])
+
+
+class TestBruteKings:
+    """The sweeps count their pairs by `_brute_kings`; hold it to the set-based reference."""
+
+    def test_every_tournament_of_orders_one_to_six(self):
+        for n in range(1, 7):
+            for t in enumerate_all(n):
+                assert _brute_kings(t) == list(brute_kings(t))
+
+    def test_seeded_draws_up_to_order_200(self):
+        for n in (7, 12, 40, 100, 200):
+            for seed in range(3):
+                t = random_tournament(n, seed)
+                assert _brute_kings(t) == list(brute_kings(t))
+
+    def test_order_one_and_a_sink(self):
+        assert _brute_kings(Tournament(1, 0)) == [0]
+        # In the transitive tournament 0 beats everyone and n - 1 beats nobody.
+        for n in (2, 3, 7, 200):
+            t = Tournament(n, (1 << pair_count(n)) - 1)
+            assert t.out_masks[n - 1] == 0
+            assert _brute_kings(t) == [0] == list(brute_kings(t))
 
 
 class TestVerifyChain:
