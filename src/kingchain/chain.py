@@ -40,7 +40,7 @@ import gc
 import itertools
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .analysis import KingContext, condensation, king_context
@@ -132,22 +132,27 @@ class SplicedCycles(Sequence):
 
 @dataclass(frozen=True)
 class CycleChain:
-    """Full certificate of one construction run.
+    """One king's chain of cycles: the claim, and how the construction got there.
 
-    cycles[i] has length i + 3 and its vertex set grows by exactly
-    insertions[i - 1].z from cycles[i - 1]. `build_chain` gives a
-    `SplicedCycles` over the very tuple it gives as `insertions`, so its
-    cycles start at the king and cost nothing until read;
+    The claim is `king`, `cycles` and `insertions`: cycles[i] has length i + 3
+    and its vertex set grows by exactly insertions[i - 1].z from cycles[i - 1].
+    It is all a certificate holds, and all that equality and hashing compare.
+    `build_chain` gives a `SplicedCycles` over the very tuple it gives as
+    `insertions`, so its cycles start at the king and cost nothing until read;
     `loads_certificate` gives the tuples the file holds.
+
+    `context`, `blocks`, `exit_edge` and `spine` annotate a built chain with
+    the construction's steps, for `kingchain chain` to print; a loaded chain
+    leaves them None.
     """
 
     king: int
     cycles: Sequence[tuple[int, ...]]
     insertions: tuple[Insertion, ...]
-    context: KingContext
-    blocks: tuple[tuple[int, ...], ...]
-    exit_edge: ExitEdge
-    spine: tuple[int, ...]
+    context: KingContext | None = field(default=None, compare=False)
+    blocks: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    exit_edge: ExitEdge | None = field(default=None, compare=False)
+    spine: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 def find_exit_edge(
@@ -328,41 +333,35 @@ def dumps_certificate(t: Tournament, chain: CycleChain) -> str:
     the text is the stdlib's `json.dumps(..., indent=2, sort_keys=True) +
     "\n"` of the same fields, with the edges as [u, v] pairs ascending by
     (u, then v), byte for byte. It is written here because with an indent,
-    json runs its pure-Python encoder, one call per value. Every vertex of
-    an array is read from one `VertexNames` table.
+    json runs its pure-Python encoder, one call per value. Every cycle vertex
+    is read from one `VertexNames` table.
     """
     name = VertexNames(t.n).__getitem__
     records = chain.insertions
     insertions = _json_array([_RECORD] * len(records), 1) % tuple(itertools.chain(*records))
     edges = edge_rows(t, "[\n      %d,\n      ", "%d\n    ]", ",\n    ")
-    fields = {
-        "n": str(t.n),
-        "king": str(chain.king),
-        "A": _json_array(map(name, chain.context.out_set), 1),
-        "B": _json_array(map(name, chain.context.in_set), 1),
-        "reid_blocks": _json_array([_json_array(map(name, b), 2) for b in chain.blocks], 1),
-        "a_star": str(chain.exit_edge.tail),
-        "b_star": str(chain.exit_edge.head),
-        "spine": _json_array(map(name, chain.spine), 1),
-        "cycles": _json_array([_json_array(map(name, c), 2) for c in chain.cycles], 1),
-        "insertions": insertions,
-        "tournament": _json_array(edges, 1),
-    }
-    # One join, so the text is copied once and no field twice.
-    parts = ["{"]
-    for key in sorted(fields):
-        parts += (f'\n  "{key}": ', fields[key], ",")
-    parts[-1] = "\n}\n"
-    return "".join(parts)
+    cycles = _json_array([_json_array(map(name, c), 2) for c in chain.cycles], 1)
+    # The fields in sorted key order, in one join, so no field is copied twice.
+    return "".join((
+        '{\n  "cycles": ', cycles,
+        ',\n  "insertions": ', insertions,
+        ',\n  "king": ', str(chain.king),
+        ',\n  "n": ', str(t.n),
+        ',\n  "tournament": ', _json_array(edges, 1),
+        "\n}\n",
+    ))
 
 
 def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     """Inverse of dumps_certificate; a written certificate round-trips byte for byte.
 
-    Here every array the writer writes must be a JSON array, every insertion
-    record an object, and the order and every vertex a JSON integer; other keys
-    load and are dropped on write. The grid reads the edges; on a fault, from_edge_list
-    checks each edge's shape, range and pair in input order and names the first.
+    The five fields the writer writes are required: every array must be a JSON
+    array, every insertion record an object, and the order and every vertex a
+    JSON integer. Other keys, such as the construction fields that older
+    certificates carry, load and are dropped on write, and the chain's
+    construction annotations stay None. The grid reads the edges; on a fault,
+    from_edge_list checks each edge's shape, range and pair in input order and
+    names the first.
     """
     # json.loads makes a list per edge and per cycle, and every few hundred of
     # them would wake the cyclic collector to walk the growing heap; parsed JSON
@@ -380,16 +379,13 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
     try:
-        edges, cycles, blocks = obj["tournament"], obj["cycles"], obj["reid_blocks"]
+        edges, cycles = obj["tournament"], obj["cycles"]
         records = [(r["x"], r["y"], r["z"]) for r in obj["insertions"]]
         # An object iterates over its keys, so an empty one would pass as an empty
         # array; and a bool is an int. Only ints may stand for an order or a vertex.
-        arrays = (obj["A"], obj["B"], obj["spine"], obj["insertions"], blocks, cycles, edges)
-        values = itertools.chain(
-            (obj["n"], obj["king"], obj["a_star"], obj["b_star"]), obj["A"], obj["B"],
-            obj["spine"], *blocks, *edges, *cycles, *records,
-        )
-        lists = set(map(type, itertools.chain(arrays, blocks, cycles, edges)))
+        arrays = (obj["insertions"], cycles, edges)
+        values = itertools.chain((obj["n"], obj["king"]), *edges, *cycles, *records)
+        lists = set(map(type, itertools.chain(arrays, cycles, edges)))
         if not lists <= {list} or not set(map(type, values)) <= {int}:
             raise MalformedCertificateError(
                 "certificate orders and vertices must be integers, in JSON arrays"
@@ -399,14 +395,6 @@ def loads_certificate(text: str) -> tuple[Tournament, CycleChain]:
             king=obj["king"],
             cycles=tuple(tuple(c) for c in cycles),
             insertions=tuple(Insertion(*r) for r in records),
-            context=KingContext(
-                king=obj["king"],
-                out_set=tuple(obj["A"]),
-                in_set=tuple(obj["B"]),
-            ),
-            blocks=tuple(tuple(b) for b in blocks),
-            exit_edge=ExitEdge(tail=obj["a_star"], head=obj["b_star"]),
-            spine=tuple(obj["spine"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"certificate missing or mistyped field: {exc}") from exc

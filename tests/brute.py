@@ -85,12 +85,6 @@ def certificate_json(t, chain) -> dict:
     return {
         "n": t.n,
         "king": chain.king,
-        "A": list(chain.context.out_set),
-        "B": list(chain.context.in_set),
-        "reid_blocks": [list(block) for block in chain.blocks],
-        "a_star": chain.exit_edge.tail,
-        "b_star": chain.exit_edge.head,
-        "spine": list(chain.spine),
         "cycles": [list(cycle) for cycle in chain.cycles],
         "insertions": [{"x": r.x, "y": r.y, "z": r.z} for r in chain.insertions],
         "tournament": [[u, v] for u, v in edges(t)],

@@ -52,10 +52,7 @@ from brute import (
     near_transitive,
 )
 
-CERTIFICATE_KEYS = {
-    "n", "king", "A", "B", "reid_blocks", "a_star", "b_star",
-    "spine", "cycles", "insertions", "tournament",
-}
+CERTIFICATE_KEYS = {"n", "king", "cycles", "insertions", "tournament"}
 
 
 def context_and_blocks(t, k):
@@ -477,12 +474,64 @@ class TestCertificate:
                 assert dumps_certificate(t, chain) == reference
         assert multi_block > 0
 
+    def test_equality_is_the_claim(self, t4a):
+        # King, cycles and insertions are compared and hashed; the construction
+        # annotations are not, so a loaded chain, which has none, equals the
+        # chain it was written from.
+        for t in (t4a, random_strong_tournament(12, 1)):
+            chain = build_chain(t, kings(t)[0])
+            for annotation in ("context", "blocks", "exit_edge", "spine"):
+                bare = dataclasses.replace(chain, **{annotation: None})
+                assert bare == chain and hash(bare) == hash(chain)
+            x, y, z = chain.insertions[-1]
+            for claim in (
+                {"king": chain.king + 1},
+                {"insertions": chain.insertions[:-1] + (Insertion(x, y, z + 1),)},
+                {"cycles": (chain.cycles[0][::-1], *chain.cycles[1:])},
+            ):
+                assert dataclasses.replace(chain, **claim) != chain
+            loaded = loads_certificate(dumps_certificate(t, chain))[1]
+            assert loaded == chain and hash(loaded) == hash(chain)
+            assert (loaded.context, loaded.blocks, loaded.exit_edge, loaded.spine) == (None,) * 4
+
+    @pytest.mark.parametrize("reverse_c4", [False, True])
+    def test_older_certificates_with_construction_fields_still_verify(self, reverse_c4):
+        # Certificates once also carried A, B, reid_blocks, a_star, b_star and
+        # spine, which no check reads. Such a file, with these fields true or
+        # junk, loads as the claim alone: it verifies with the report of the
+        # claim's own file, and writes back as that file.
+        t = random_strong_tournament(8, 1)
+        chain = build_chain(t, kings(t)[0])
+        if reverse_c4:
+            cycles = list(chain.cycles)
+            cycles[1] = cycles[1][:1] + cycles[1][:0:-1]
+            chain = dataclasses.replace(chain, cycles=tuple(cycles))
+        text = dumps_certificate(t, chain)
+        report = verify_chain(*loads_certificate(text))
+        assert report.passed is not reverse_c4
+        true_fields = {
+            "A": list(chain.context.out_set),
+            "B": list(chain.context.in_set),
+            "reid_blocks": [list(block) for block in chain.blocks],
+            "a_star": chain.exit_edge.tail,
+            "b_star": chain.exit_edge.head,
+            "spine": list(chain.spine),
+        }
+        junk = {"A": [99], "B": {}, "reid_blocks": [{}], "a_star": 1.5, "b_star": None, "spine": ["x"]}
+        for fields in (true_fields, junk):
+            older = dict(json.loads(text), **fields)
+            t_back, chain_back = loads_certificate(json.dumps(older, indent=2, sort_keys=True) + "\n")
+            assert verify_chain(t_back, chain_back) == report
+            assert dumps_certificate(t_back, chain_back) == text
+
     def test_vertices_outside_the_order_write_back_as_themselves(self, t4a):
         # The writer's name table covers 0..n-1; a negative or larger vertex
-        # of a loaded certificate is still written as its own number.
+        # of a loaded certificate is still written as its own number, in a
+        # cycle and in an insertion record alike.
         cert = json.loads(dumps_certificate(t4a, build_chain(t4a, 1)))
-        cert.update(A=[-1, 99], spine=[7])
         cert["cycles"][0][1] = -1
+        cert["cycles"][1][2] = 99
+        cert["insertions"][0].update(x=-1, z=7)
         text = json.dumps(cert, indent=2, sort_keys=True) + "\n"
         assert dumps_certificate(*loads_certificate(text)) == text
 
@@ -586,20 +635,11 @@ class TestCertificate:
             lambda c: c["cycles"][1].__setitem__(0, True),
             lambda c: c["insertions"][0].update(z=2.0),
             lambda c: c["tournament"][0].__setitem__(1, "1"),
-            # The construction fields are written back, so they are typed too.
-            lambda c: c.update(A=[True]),
-            lambda c: c.update(B="ab"),
-            lambda c: c.update(spine=["x"]),
-            lambda c: c.update(reid_blocks=[["x"]]),
-            lambda c: c.update(a_star=1.5),
-            lambda c: c.update(b_star=None),
             # An empty object iterates like an empty array, and was written back as one.
-            lambda c: c.update(A={}),
-            lambda c: c.update(B={}),
-            lambda c: c.update(spine={}),
-            lambda c: c.update(reid_blocks=[{}]),
             lambda c: c.update(insertions={}),
             lambda c: c["cycles"].__setitem__(1, {}),
+            # Each field of the claim is required.
+            *(lambda c, key=key: c.pop(key) for key in sorted(CERTIFICATE_KEYS)),
         ):
             bad = json.loads(json.dumps(good))
             edit(bad)
