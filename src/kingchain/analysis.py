@@ -15,7 +15,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import _DIGIT_SELECTORS, Tournament, checked_subset, mask_to_vertices
 from .errors import NotAKingError, OrderTooSmallError, VertexOutOfRangeError
@@ -31,8 +31,14 @@ class KingContext:
 
 
 def is_strong(t: Tournament) -> bool:
-    """True iff every vertex reaches every other; a single vertex is strong."""
-    return len(condensation(t, range(t.n))) == 1
+    """True iff every vertex reaches every other; a single vertex is strong.
+
+    Landau (1953): with the scores ascending, the i lowest sum to C(i, 2)
+    iff those i vertices lose to all others, so strong means at no i < n.
+    The running sums of score minus index are those sums less C(i, 2).
+    """
+    scores = sorted(map(int.bit_count, t.out_masks))
+    return 0 not in itertools.accumulate(map(operator.sub, scores[:-1], itertools.count()))
 
 
 def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -47,7 +53,11 @@ def condensation(t: Tournament, subset: Iterable[int]) -> tuple[tuple[int, ...],
     between two consecutive cut points of the descending score sequence.
     """
     verts, sub_mask = checked_subset(t, subset)
-    out_masks = t.out_masks
+    return _blocks(t.out_masks, verts, sub_mask)
+
+
+def _blocks(out_masks: tuple[int, ...], verts: Sequence[int], sub_mask: int) -> tuple[tuple, ...]:
+    # condensation on ascending, distinct, in-range `verts` with bitmask `sub_mask`.
     scores = [(out_masks[v] & sub_mask).bit_count() for v in verts]
     m = len(verts)
     block_of_score = {}

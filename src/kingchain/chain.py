@@ -29,8 +29,10 @@ subtournament induced by every cycle's vertex set. The steps:
   5. The chain is C3 plus those records; the cycles C3..Cn are a view that
      builds its tuples from them on the first read.
 
-No step re-checks strong connectivity up front. Every choice is
-lowest-index-first, so certificates are reproducible byte for byte.
+No step re-checks strong connectivity up front, nor the out-set: steps 1
+and 3 take it sorted, with the king's row as its mask, past the subset
+check. Every choice is lowest-index-first, so certificates are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .analysis import KingContext, condensation, king_context
+from .analysis import KingContext, _blocks, king_context
 from .core import Tournament, _from_int_edges, edge_rows, from_edge_list
 from .errors import (
     CycleAlreadySpanningError,
@@ -51,7 +53,7 @@ from .errors import (
     MalformedCertificateError,
     NotStrongError,
 )
-from .hamilton import path_ending_at
+from .hamilton import _path_to, path_ending_at
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,8 @@ def spine_path(
 
     Every out-set vertex reaches the last block, which is strong, so reaches
     the tail, and Rédei's rule toward it spans the out-set. `build_chain`
-    makes the same call itself; this and its unused `blocks` stay for the
-    benchmark's traced replay, which calls them.
+    runs the same rule past the subset check; this and its unused `blocks`
+    stay for the benchmark's traced replay, which calls them.
     """
     return path_ending_at(t, ctx.out_set, exit_edge.tail)
 
@@ -267,14 +269,17 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
 
     Returns the certificate: C3, the insertion linking each cycle to the
     next, the cycles as a view over both, and the intermediate construction
-    data. From C3 on, the spine is spliced last but one back to first, and
-    then the in-set minus the exit head in ascending order, each into the
-    first edge from the king that accepts it.
+    data, each equal to what `king_context`, `condensation`, `find_exit_edge`
+    and `spine_path` give; the out-set is sorted and in range, so it skips
+    their subset check. From C3 on, the spine is spliced last but one back to
+    first, and then the in-set minus the exit head in ascending order, each
+    into the first edge from the king that accepts it.
     """
     ctx = king_context(t, k)
-    blocks = condensation(t, ctx.out_set)
+    out_masks = t.out_masks
+    blocks = _blocks(out_masks, ctx.out_set, out_masks[k])
     exit_edge = find_exit_edge(t, ctx, blocks)
-    spine = path_ending_at(t, ctx.out_set, exit_edge.tail)
+    spine = _path_to(out_masks, ctx.out_set, exit_edge.tail)
     head = exit_edge.head
     # Each spine vertex takes the king's own edge, so needs no walk.
     ladder = map(_insertion, zip(itertools.repeat(k), spine[:0:-1], spine[-2::-1]))
@@ -282,7 +287,7 @@ def build_chain(t: Tournament, k: int) -> CycleChain:
     for u, v in zip((k, *spine, head), (*spine, head, k)):
         succ[u] = v
     rest = [v for v in ctx.in_set if v != head]
-    records = (*ladder, *_splice(t.out_masks, succ, k, len(spine) + 2, rest))
+    records = (*ladder, *_splice(out_masks, succ, k, len(spine) + 2, rest))
     return CycleChain(
         king=k,
         cycles=SplicedCycles((k, spine[-1], head), records),

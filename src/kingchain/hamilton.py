@@ -10,7 +10,7 @@ needs no algorithm of its own: `build_chain(t, k).cycles[-1]` is one.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Tournament, checked_subset
 from .errors import NotStrongSubsetError, TargetNotInSubsetError
@@ -58,7 +58,11 @@ def path_ending_at(t: Tournament, subset: Iterable[int], target: int) -> tuple[i
     verts, _ = checked_subset(t, subset)
     if target not in verts:
         raise TargetNotInSubsetError(f"target {target} not in subset")
-    out_masks = t.out_masks
+    return _path_to(t.out_masks, verts, target)
+
+
+def _path_to(out_masks: tuple[int, ...], verts: Sequence[int], target: int) -> tuple[int, ...]:
+    # path_ending_at on ascending, distinct, in-range `verts` that hold `target`.
     path, on_path = [target], 1 << target
     waiting = [v for v in verts if v != target]
     while waiting:

@@ -1,5 +1,6 @@
 """Tests for strong connectivity, condensation, and king queries."""
 
+import itertools
 import random
 
 import pytest
@@ -46,9 +47,23 @@ class TestIsStrong:
         assert not is_strong(from_edge_list(2, [(0, 1)]))
 
     def test_matches_brute_exhaustively(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for t in enumerate_all(n):
                 assert is_strong(t) == brute_strong(t)
+
+    def test_matches_brute_at_order_200(self):
+        # Uniform draws are strong. In a split draw the vertices below the cut,
+        # relabelled at random, beat all the others, so it is not.
+        rng = random.Random(31)
+        draws = [random_tournament(200, seed) for seed in range(3)]
+        for cut in (1, 100, 199):
+            perm = rng.sample(range(200), 200)
+            pairs = itertools.combinations(range(200), 2)
+            edges = [(u, v) if u < cut <= v or rng.random() < 0.5 else (v, u) for u, v in pairs]
+            draws.append(from_edge_list(200, [(perm[u], perm[v]) for u, v in edges]))
+        verdicts = [is_strong(t) for t in draws]
+        assert verdicts == [brute_strong(t) for t in draws]
+        assert True in verdicts and False in verdicts
 
 
 class TestCondensation:

@@ -347,6 +347,21 @@ class TestBuildChain:
             assert first == second
             assert dumps_certificate(t, first) == dumps_certificate(t, second)
 
+    def test_annotations_are_the_public_stages(self):
+        # build_chain runs the stages on the out-set it split off, unchecked;
+        # its annotations are what the checked public stages give.
+        pairs = itertools.chain(
+            every_strong_pair(), near_transitive_pairs(random.Random(32), 300, 60)
+        )
+        for t, k in pairs:
+            chain = build_chain(t, k)
+            ctx, blocks = context_and_blocks(t, k)
+            exit_edge = find_exit_edge(t, ctx, blocks)
+            assert chain.context == ctx
+            assert chain.blocks == blocks
+            assert chain.exit_edge == exit_edge
+            assert chain.spine == spine_path(t, ctx, blocks, exit_edge)
+
     def test_large_near_transitive_orders_reach_the_rare_branches(self):
         # Uniform draws at large n give a one-block out-set whose lowest vertex
         # is the exit tail. Near-transitive ones give out-sets of several blocks

@@ -37,7 +37,14 @@ from kingchain.errors import (
     OrderOutOfRangeError,
 )
 from kingchain.core import pair_count
-from kingchain.oracle import Counterexample, _brute_kings, brute_is_king_of_induced, random_stress
+from kingchain.oracle import (
+    Counterexample,
+    _brute_kings,
+    _is_directed_cycle,
+    _replays,
+    brute_is_king_of_induced,
+    random_stress,
+)
 
 from brute import _two_step_misses, brute_cycles, brute_kings, brute_strong, brute_verify_chain
 
@@ -356,6 +363,43 @@ def outcome(verify, t, chain):
         return verify(t, chain)
     except MalformedCertificateError as exc:
         return f"MalformedCertificateError: {exc}"
+
+
+class TestPassingReport:
+    def test_one_report_per_order(self):
+        # Every passing chain of one order, built or loaded, gets the same
+        # report object, and it is the literal one.
+        for n in (3, 4, 5, 6):
+            first = None
+            for t in itertools.islice(filter(is_strong, enumerate_all(n)), 0, None, 7):
+                for k in kings(t):
+                    chain = build_chain(t, k)
+                    report = verify_chain(t, chain)
+                    first = first or report
+                    assert report is first
+                    assert report == brute_verify_chain(t, chain)
+                    assert verify_chain(*loads_certificate(dumps_certificate(t, chain))) is first
+            assert first.passed and len(first.cycle_checks) == n - 2
+
+    def test_c3_by_its_three_edges(self):
+        # The replay reads C3 as three edges, the king and the range: that
+        # agrees with the literal check on every ordered triple, repeated
+        # vertices, -1 and n among them.
+        seen = set()
+        for n in (3, 4, 5):
+            for t in enumerate_all(n):
+                king, out_masks = t.bits % n, t.out_masks
+                for c3 in itertools.product(range(-1, n + 1), repeat=3):
+                    literal = (
+                        king in c3
+                        and all(0 <= v < n for v in c3)
+                        and _is_directed_cycle(out_masks, c3)
+                    )
+                    assert _replays(out_masks, king, c3, ()) == literal
+                    seen.add(literal)
+                assert not _replays(out_masks, king, (king,) * 2, ())
+                assert not _replays(out_masks, king, (king,) * 4, ())
+        assert seen == {True, False}
 
 
 class TestVerifyChainMatchesLiteral:
